@@ -4,7 +4,7 @@
 // detector-threshold grid with JSI_SWEEP_UNITS/4 sampled dies per point
 // (default 10^4 units total), each die placing one seeded random
 // crosstalk defect from Prng(seed).split(i). The population is far above
-// kSweepTranscriptThreshold, so this exercises the engine's perf-opt
+// core::kTranscriptThreshold, so this exercises the engine's perf-opt
 // path end to end: lazy unit generation, chunked scheduling, warmed
 // prototype clones, and streaming aggregation. Two classes of check:
 //

@@ -18,27 +18,21 @@ namespace jsi::core {
 
 namespace {
 
-/// Shared prologue of every single-bus canned builder: derive the
-/// config's effective electrical parameters, seed the unit's bus from
-/// the campaign prototype (clone when the width matches, fresh
-/// otherwise), and apply the unit's defect injections.
-si::CoupledBus unit_bus(CampaignContext& ctx, const SocConfig& c,
-                        const CampaignRunner::BusSetup& defects) {
-  si::CoupledBus bus = ctx.make_bus(effective_bus_params(c));
-  // Tag which interconnect kernel serves this unit so merged BENCH /
-  // metrics JSONs distinguish model populations. Only booked for
-  // non-default models: rc_full_swing artifacts stay byte-exact.
-  if (c.bus.model != si::ModelKind::RcFullSwing) {
+/// A bus for `p` from the context's factory. Tags which interconnect
+/// kernel serves the unit so merged BENCH / metrics JSONs distinguish
+/// model populations; only booked for non-default models, so
+/// rc_full_swing artifacts stay byte-exact.
+si::CoupledBus model_bus(CampaignContext& ctx, const si::BusParams& p) {
+  if (p.model != si::ModelKind::RcFullSwing) {
     ctx.hub().registry()
-        .counter(std::string("bus.model.") + si::model_kind_name(c.bus.model))
+        .counter(std::string("bus.model.") + si::model_kind_name(p.model))
         .inc();
   }
-  if (defects) defects(bus);
-  return bus;
+  return ctx.make_bus(p);
 }
 
-/// Shared tail of every canned builder: fold a session report into the
-/// outcome fields the merged campaign report is built from.
+/// Fold a session report into the outcome fields the merged campaign
+/// report is built from.
 UnitOutcome summarize(const IntegrityReport& rep) {
   UnitOutcome o;
   o.total_tcks = rep.total_tcks;
@@ -53,32 +47,59 @@ UnitOutcome summarize(const IntegrityReport& rep) {
 
 }  // namespace
 
-std::string CampaignResult::to_text() const {
-  std::ostringstream os;
-  if (aggregated) {
-    // Aggregate campaigns fold outcomes as they stream; the canonical
-    // report keeps the totals plus one line per retained failure (each
-    // still addressed by its stable work-unit index). Deterministic for
-    // the same reason the per-unit form is: everything printed is a
-    // chunk-ordered fold of per-unit facts.
-    os << "campaign: " << units_run << " units (aggregated), " << violations
-       << " violations, " << failures << " failures\n";
-    os << "tcks: total=" << total_tcks << " generation=" << generation_tcks
-       << " observation=" << observation_tcks << "\n";
-    for (const UnitOutcome& u : failed) {
-      os << "[" << u.index << "] " << u.name << ": FAIL " << u.summary
-         << " tcks=" << u.total_tcks << " (gen=" << u.generation_tcks
-         << " obs=" << u.observation_tcks << ")\n";
+UnitOutcome run_soc_session(CampaignContext& ctx, SocConfig cfg,
+                            SocSession kind, ObservationMethod method,
+                            std::size_t guard, const BusSetup& defects) {
+  cfg.enhanced = kind != SocSession::Conventional;
+  si::CoupledBus bus = model_bus(ctx, effective_bus_params(cfg));
+  if (defects) defects(bus);
+  SiSocDevice soc(cfg, bus);
+  switch (kind) {
+    case SocSession::Enhanced:
+    case SocSession::Parallel: {
+      SiTestSession session(soc);
+      session.set_sink(&ctx.hub());
+      return summarize(kind == SocSession::Parallel
+                           ? session.run_parallel(method, guard)
+                           : session.run(method));
     }
-    return os.str();
+    case SocSession::Conventional: {
+      ConventionalSession session(soc);
+      session.set_sink(&ctx.hub());
+      return summarize(session.run(method));
+    }
+    case SocSession::Bist: {
+      SiBistController ctl(soc);
+      ctl.set_sink(&ctx.hub());
+      const SiBistController::Result res = ctl.run();
+      UnitOutcome o;
+      o.total_tcks = res.tcks;
+      // The autonomous controller runs one fused program; it does not
+      // split its budget into generation/observation phases.
+      o.violation = !res.pass;
+      std::ostringstream os;
+      os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
+         << " sd=" << res.sd.to_string();
+      o.summary = os.str();
+      return o;
+    }
   }
-  os << "campaign: " << units.size() << " units, " << violations
+  throw std::logic_error("unknown SoC session kind");
+}
+
+std::string CampaignResult::to_text() const {
+  // One shape for every campaign: the folded books, then one line per
+  // retained outcome addressed by its stable work-unit index. An
+  // aggregated campaign retains only failures, so its lines are the FAIL
+  // lines a per-unit transcript of the same campaign would print.
+  std::ostringstream os;
+  os << "campaign: " << units_run << " units"
+     << (aggregated ? " (aggregated)" : "") << ", " << violations
      << " violations, " << failures << " failures\n";
   os << "tcks: total=" << total_tcks << " generation=" << generation_tcks
      << " observation=" << observation_tcks << "\n";
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    const UnitOutcome& u = units[i];
-    os << "[" << i << "] " << u.name << ": "
+  for (const UnitOutcome& u : units) {
+    os << "[" << u.index << "] " << u.name << ": "
        << (u.failed ? "FAIL" : (u.violation ? "violation" : "clean")) << " "
        << u.summary << " tcks=" << u.total_tcks
        << " (gen=" << u.generation_tcks << " obs=" << u.observation_tcks
@@ -101,67 +122,51 @@ void CampaignRunner::add(CampaignUnit unit) {
 
 void CampaignRunner::set_source(const UnitSource* source) { source_ = source; }
 
-std::size_t CampaignRunner::effective_chunk_size() const {
-  if (cfg_.chunk_size != 0) return cfg_.chunk_size;
-  // Auto rule: per-unit chunks when outcomes are retained (the historic
-  // merge grouping, byte-exact with pre-chunking releases), 64 units per
-  // claim in aggregate mode. Depends only on the config — never on the
-  // shard count — because the chunk layout determines the FP summation
-  // grouping of the merged registry.
-  return cfg_.aggregate_outcomes ? 64 : 1;
+CheckpointHeader CampaignRunner::checkpoint_header() const {
+  CheckpointHeader h;
+  h.fingerprint = cfg_.fingerprint;
+  h.units = size();
+  h.chunk_size = effective_chunk_size();
+  h.aggregate = aggregated();
+  return h;
+}
+
+void CampaignRunner::add_soc(std::string name, SocSession kind, SocConfig cfg,
+                             ObservationMethod method, std::size_t guard,
+                             BusSetup defects) {
+  CampaignUnit u;
+  u.name = std::move(name);
+  u.run = [cfg = std::move(cfg), kind, method, guard,
+           defects = std::move(defects)](CampaignContext& ctx) {
+    return run_soc_session(ctx, cfg, kind, method, guard, defects);
+  };
+  add(std::move(u));
 }
 
 void CampaignRunner::add_enhanced(std::string name, SocConfig cfg,
                                   ObservationMethod method, BusSetup defects) {
-  CampaignUnit u;
-  u.name = std::move(name);
-  u.run = [cfg = std::move(cfg), method,
-           defects = std::move(defects)](CampaignContext& ctx) {
-    SocConfig c = cfg;
-    c.enhanced = true;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
-    SiTestSession session(soc);
-    session.set_sink(&ctx.hub());
-    return summarize(session.run(method));
-  };
-  add(std::move(u));
+  add_soc(std::move(name), SocSession::Enhanced, std::move(cfg), method, 0,
+          std::move(defects));
 }
 
 void CampaignRunner::add_parallel(std::string name, SocConfig cfg,
                                   ObservationMethod method, std::size_t guard,
                                   BusSetup defects) {
-  CampaignUnit u;
-  u.name = std::move(name);
-  u.run = [cfg = std::move(cfg), method, guard,
-           defects = std::move(defects)](CampaignContext& ctx) {
-    SocConfig c = cfg;
-    c.enhanced = true;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
-    SiTestSession session(soc);
-    session.set_sink(&ctx.hub());
-    return summarize(session.run_parallel(method, guard));
-  };
-  add(std::move(u));
+  add_soc(std::move(name), SocSession::Parallel, std::move(cfg), method,
+          guard, std::move(defects));
 }
 
 void CampaignRunner::add_conventional(std::string name, SocConfig cfg,
                                       ObservationMethod method,
                                       BusSetup defects) {
-  CampaignUnit u;
-  u.name = std::move(name);
-  u.run = [cfg = std::move(cfg), method,
-           defects = std::move(defects)](CampaignContext& ctx) {
-    SocConfig c = cfg;
-    c.enhanced = false;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
-    ConventionalSession session(soc);
-    session.set_sink(&ctx.hub());
-    return summarize(session.run(method));
-  };
-  add(std::move(u));
+  add_soc(std::move(name), SocSession::Conventional, std::move(cfg), method,
+          0, std::move(defects));
+}
+
+void CampaignRunner::add_bist(std::string name, SocConfig cfg,
+                              BusSetup defects) {
+  add_soc(std::move(name), SocSession::Bist, std::move(cfg),
+          ObservationMethod::OnceAtEnd, 0, std::move(defects));
 }
 
 void CampaignRunner::add_multibus(std::string name, MultiBusConfig cfg,
@@ -171,15 +176,8 @@ void CampaignRunner::add_multibus(std::string name, MultiBusConfig cfg,
   u.name = std::move(name);
   u.run = [cfg = std::move(cfg), method,
            defects = std::move(defects)](CampaignContext& ctx) {
-    MultiBusConfig c = cfg;
-    si::CoupledBus proto = ctx.make_bus(effective_bus_params(c));
-    if (c.bus.model != si::ModelKind::RcFullSwing) {
-      ctx.hub().registry()
-          .counter(std::string("bus.model.") +
-                   si::model_kind_name(c.bus.model))
-          .inc();
-    }
-    MultiBusSoc soc(c, proto);
+    si::CoupledBus proto = model_bus(ctx, effective_bus_params(cfg));
+    MultiBusSoc soc(cfg, proto);
     if (defects) {
       for (std::size_t b = 0; b < soc.n_buses(); ++b) defects(b, soc.bus(b));
     }
@@ -204,42 +202,16 @@ void CampaignRunner::add_multibus(std::string name, MultiBusConfig cfg,
   add(std::move(u));
 }
 
-void CampaignRunner::add_bist(std::string name, SocConfig cfg,
-                              BusSetup defects) {
-  CampaignUnit u;
-  u.name = std::move(name);
-  u.run = [cfg = std::move(cfg),
-           defects = std::move(defects)](CampaignContext& ctx) {
-    SocConfig c = cfg;
-    c.enhanced = true;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
-    SiBistController ctl(soc);
-    ctl.set_sink(&ctx.hub());
-    SiBistController::Result res = ctl.run();
-
-    UnitOutcome o;
-    o.total_tcks = res.tcks;
-    // The autonomous controller runs one fused program; it does not split
-    // its budget into generation/observation phases.
-    o.violation = !res.pass;
-    std::ostringstream os;
-    os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
-       << " sd=" << res.sd.to_string();
-    o.summary = os.str();
-    return o;
-  };
-  add(std::move(u));
-}
-
 CampaignResult CampaignRunner::run() {
   if (source_ != nullptr && !units_.empty()) {
     throw std::invalid_argument(
         "campaign: set_source and add are mutually exclusive");
   }
-  if (cfg_.keep_events && cfg_.aggregate_outcomes) {
+  const bool aggregate = aggregated();
+  if (cfg_.keep_events && aggregate) {
     throw std::invalid_argument(
-        "campaign: keep_events is incompatible with aggregate_outcomes");
+        "campaign: keep_events is incompatible with an aggregated campaign "
+        "(more than " + std::to_string(kTranscriptThreshold) + " units)");
   }
   if (cfg_.keep_events && !cfg_.checkpoint_path.empty()) {
     throw std::invalid_argument(
@@ -273,11 +245,7 @@ CampaignResult CampaignRunner::run() {
 
   CheckpointWriter ckpt;
   if (!cfg_.checkpoint_path.empty()) {
-    CheckpointHeader header;
-    header.fingerprint = cfg_.fingerprint;
-    header.units = n;
-    header.chunk_size = chunk_size;
-    header.aggregate = cfg_.aggregate_outcomes;
+    const CheckpointHeader header = checkpoint_header();
 
     bool resuming = false;
     if (cfg_.resume && std::ifstream(cfg_.checkpoint_path).good()) {
@@ -331,11 +299,11 @@ CampaignResult CampaignRunner::run() {
   // chunk order the moment the frontier chunk completes, then free —
   // memory stays bounded by chunks in flight, not campaign size. Chunk
   // order == work-unit order, so the merged registry's FP summation
-  // grouping is a pure function of (n, chunk_size) and the outcome list
+  // grouping is a pure function of n and the outcome list
   // lands in work-unit order: byte-identity across shard counts, worker
   // processes, and resume follows.
   CampaignResult r;
-  r.aggregated = cfg_.aggregate_outcomes;
+  r.aggregated = aggregate;
   std::mutex publish_mu;
   // A range-restricted call folds only its own chunks (chunks outside
   // the range belong to other worker processes); the result is then
@@ -351,9 +319,7 @@ CampaignResult CampaignRunner::run() {
       r.observation_tcks += rec.agg.observation_tcks;
       r.violations += static_cast<std::size_t>(rec.agg.violations);
       r.failures += static_cast<std::size_t>(rec.agg.failures);
-      std::vector<UnitOutcome>& dst =
-          cfg_.aggregate_outcomes ? r.failed : r.units;
-      for (UnitOutcome& o : rec.outcomes) dst.push_back(std::move(o));
+      for (UnitOutcome& o : rec.outcomes) r.units.push_back(std::move(o));
       records[frontier].reset();
       ++frontier;
     }
@@ -477,7 +443,7 @@ CampaignResult CampaignRunner::run() {
           tp->end_unit(d);
           last = t1;
         }
-        if (!cfg_.aggregate_outcomes || out.failed) {
+        if (!aggregate || out.failed) {
           rec.outcomes.push_back(std::move(out));
         }
       }

@@ -115,7 +115,8 @@ class UnitSource {
 };
 
 /// Aggregate books of a chunk of consecutive units — everything the
-/// merged campaign totals need when per-unit outcomes are not retained.
+/// merged campaign totals need, whether or not per-unit outcomes are
+/// retained.
 struct ChunkAggregate {
   std::uint64_t units = 0;
   std::uint64_t violations = 0;
@@ -127,19 +128,26 @@ struct ChunkAggregate {
 
 /// Everything one completed chunk contributes to the merged campaign:
 /// the unit-ordered merge of its units' registries, its aggregate books,
-/// and (in non-aggregate mode) the per-unit outcomes. This is both the
-/// runner's in-flight merge granule and the checkpoint file's record
-/// unit — a chunk is re-runnable in isolation, so a checkpoint that
-/// names completed chunks plus these records is a full resume point.
+/// and its retained outcomes. This is both the runner's in-flight merge
+/// granule and the checkpoint file's record unit — a chunk is re-runnable
+/// in isolation, so a checkpoint that names completed chunks plus these
+/// records is a full resume point.
 struct ChunkRecord {
-  std::size_t chunk = 0;  ///< chunk id (index / chunk_size)
+  std::size_t chunk = 0;  ///< chunk id (index / chunk width)
   ChunkAggregate agg;
   obs::Registry registry;
-  /// Per-unit outcomes in unit order. In aggregate mode only failed
-  /// units are retained (rare; kept so a million-unit sweep still names
-  /// what broke), with `UnitOutcome::index` identifying them.
+  /// Retained outcomes in unit order, each carrying its
+  /// `UnitOutcome::index`: every unit of a per-unit campaign, only the
+  /// failed units of an aggregated one.
   std::vector<UnitOutcome> outcomes;
 };
+
+/// A campaign of more than this many units is aggregated: outcomes fold
+/// into streaming per-chunk books (O(1) memory in campaign size) and only
+/// failed units are retained. At or below it every outcome is kept and
+/// the report prints the familiar per-unit transcript. The runner applies
+/// the rule to every campaign, however its units were supplied.
+inline constexpr std::size_t kTranscriptThreshold = 128;
 
 /// Runner configuration.
 struct CampaignConfig {
@@ -154,6 +162,8 @@ struct CampaignConfig {
   obs::TracerConfig trace{};
   /// Keep each unit's stamped event stream in the result (memory-heavy;
   /// determinism tests turn it on, production campaigns usually don't).
+  /// Incompatible with an aggregated campaign (run() throws
+  /// std::invalid_argument).
   bool keep_events = false;
   /// Live telemetry: streaming JSONL heartbeats + terminal progress.
   /// Disabled by default; enabling it must not (and provably does not —
@@ -162,22 +172,6 @@ struct CampaignConfig {
   /// the sampler thread reads.
   obs::TelemetryConfig telemetry{};
 
-  /// Units per scheduling claim. Workers claim whole index ranges (one
-  /// atomic increment per chunk instead of per unit) and clone the
-  /// warmed prototype bus once per chunk, which is what amortizes
-  /// dispatch overhead at sweep scale. 0 = auto: 1 when per-unit
-  /// outcomes are retained (the historic per-unit grouping, byte-exact
-  /// with pre-chunking releases), 64 in aggregate mode. The chunk layout
-  /// is part of the deterministic artifact contract — the merged
-  /// registry folds chunk sub-merges in chunk order — so it is a pure
-  /// function of (unit count, chunk_size) and NEVER of the shard count.
-  std::size_t chunk_size = 0;
-  /// Fold outcomes into streaming per-chunk aggregates instead of
-  /// retaining the per-unit list: O(1) memory in campaign size (only
-  /// failed units are kept, by index). The canonical report then prints
-  /// campaign totals instead of one line per unit. Incompatible with
-  /// keep_events (run() throws std::invalid_argument).
-  bool aggregate_outcomes = false;
   /// Sidecar checkpoint file ("" = none): every completed chunk's record
   /// is appended as one JSONL line, so a killed campaign loses at most
   /// the chunks in flight. Incompatible with keep_events.
@@ -211,26 +205,25 @@ struct CampaignConfig {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Merged result of a campaign: per-unit outcomes in work-unit order, the
-/// deterministically merged metrics registry, and the summed TCK books.
+/// Merged result of a campaign: the retained outcomes, the
+/// deterministically merged metrics registry, and the summed books
+/// folded chunk by chunk. The books are the campaign's totals in every
+/// shape; `units` is never re-summed for them.
 struct CampaignResult {
-  /// Per-unit outcomes in work-unit order. Empty in aggregate mode —
-  /// see `failed` for the retained failures and `units_run` for the
-  /// folded count.
+  /// Retained outcomes in work-unit order, each carrying its
+  /// `UnitOutcome::index`: every outcome of a per-unit campaign, only the
+  /// failures of an aggregated one.
   std::vector<UnitOutcome> units;
   obs::Registry metrics;  ///< unit-ordered additive merge of all units
   /// Per-unit event streams (work-unit order), captured only when
   /// CampaignConfig::keep_events was set.
   std::vector<std::vector<obs::Event>> events;
 
-  /// True when outcomes were folded into aggregates (units is empty).
+  /// True when the campaign had more than kTranscriptThreshold units, so
+  /// `units` retains only failures. Set by the runner.
   bool aggregated = false;
-  /// Number of unit outcomes folded into this result (equals
-  /// units.size() in non-aggregate mode).
+  /// Number of unit outcomes folded into this result.
   std::uint64_t units_run = 0;
-  /// Aggregate mode only: the failed units, in work-unit order, with
-  /// UnitOutcome::index set.
-  std::vector<UnitOutcome> failed;
   /// False when this run did not fold every chunk — a range-restricted
   /// or max_chunks-limited call. Incomplete results are intermediate
   /// (checkpoint fodder), never final artifacts.
@@ -253,12 +246,31 @@ struct CampaignResult {
   /// to_text() or any deterministic artifact.
   std::optional<obs::Snapshot> telemetry;
 
-  /// The canonical campaign report: unit lines in work-unit order plus
-  /// the summed totals. Byte-identical for every shard count (it depends
-  /// only on unit outcomes, never on scheduling) — the tier-1 campaign
-  /// determinism suite pins exactly this string.
+  /// The canonical campaign report: the summed totals plus one line per
+  /// retained outcome, addressed by its work-unit index. Byte-identical
+  /// for every shard count (it depends only on unit outcomes, never on
+  /// scheduling) — the tier-1 campaign determinism suite pins exactly
+  /// this string.
   std::string to_text() const;
 };
+
+/// The single-bus SoC session kinds the canned builders run.
+enum class SocSession { Enhanced, Parallel, Conventional, Bist };
+
+/// Optional per-unit defect injection, applied before the session runs.
+using BusSetup = std::function<void(si::CoupledBus&)>;
+
+/// Run one single-bus SoC session of `kind` (the `enhanced` flag follows
+/// the kind) on a bus from the context's factory with `defects` applied,
+/// and summarize it as a unit outcome. This is the body of add_enhanced /
+/// add_parallel / add_conventional / add_bist; lazy unit sources (the
+/// sweep) call it so a sampled die runs exactly the canned session.
+/// `guard` is used by Parallel only, `method` by all but Bist.
+UnitOutcome run_soc_session(CampaignContext& ctx, SocConfig cfg,
+                            SocSession kind, ObservationMethod method,
+                            std::size_t guard, const BusSetup& defects);
+
+struct CheckpointHeader;  // core/checkpoint.hpp
 
 /// Sharded multi-threaded campaign runner. A campaign is a set of
 /// independent work units (per-bus sessions, victim sweeps, defect-grid
@@ -298,9 +310,8 @@ class CampaignRunner {
 
   // -- canned unit builders for the in-repo session kinds ------------------
 
-  /// Optional per-unit defect injection, applied before the session runs.
-  using BusSetup = std::function<void(si::CoupledBus&)>;
-  /// Multi-bus variant; called once per bus with its index.
+  /// Multi-bus variant of core::BusSetup; called once per bus with its
+  /// index.
   using MultiBusSetup = std::function<void(std::size_t, si::CoupledBus&)>;
 
   void add_enhanced(std::string name, SocConfig cfg, ObservationMethod method,
@@ -319,16 +330,32 @@ class CampaignRunner {
   const CampaignConfig& config() const { return cfg_; }
   CampaignConfig& config() { return cfg_; }
 
-  /// The chunk width run() will schedule with (resolves chunk_size 0 to
-  /// the auto rule). Exposed so range planners (the multi-process worker
-  /// split) can align ranges to chunk boundaries.
-  std::size_t effective_chunk_size() const;
+  /// True when run() will aggregate: more than kTranscriptThreshold units.
+  bool aggregated() const { return size() > kTranscriptThreshold; }
+
+  /// The chunk width run() will schedule with: 1 for a per-unit campaign
+  /// (the historic per-unit merge grouping), 64 for an aggregated one,
+  /// where claiming whole index ranges (one atomic increment and one
+  /// prototype clone per chunk) amortizes dispatch at sweep scale. A pure
+  /// function of the unit count — never of the shard count — because the
+  /// chunk layout fixes the FP summation grouping of the merged registry.
+  /// Exposed so range planners (the multi-process worker split) can align
+  /// ranges to chunk boundaries.
+  std::size_t effective_chunk_size() const { return aggregated() ? 64 : 1; }
+
+  /// The checkpoint header run() writes and expects on resume: the
+  /// configured fingerprint plus the layout derived from the unit count.
+  CheckpointHeader checkpoint_header() const;
 
   /// Execute every unit and join. Safe to call repeatedly (each call is
   /// an independent campaign over the same unit list).
   CampaignResult run();
 
  private:
+  void add_soc(std::string name, SocSession kind, SocConfig cfg,
+               ObservationMethod method, std::size_t guard,
+               BusSetup defects);
+
   CampaignConfig cfg_;
   std::vector<CampaignUnit> units_;
   const UnitSource* source_ = nullptr;

@@ -8,13 +8,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace jsi::obs {
 
 namespace {
 
-using json::write_number;
+using util::json::write_number;
 
 double rate_per_sec(std::uint64_t count, std::uint64_t elapsed_ms) {
   // Clamp the denominator to 1 ms: a campaign finishing inside the
@@ -62,7 +62,7 @@ void write_snapshot_jsonl(std::ostream& os, const Snapshot& s) {
     if (w.current_unit.empty()) {
       os << "null";
     } else {
-      json::write_escaped_string(os, w.current_unit);
+      util::json::write_escaped_string(os, w.current_unit);
     }
     os << '}';
   }

@@ -51,7 +51,7 @@ std::vector<DefectSpec> resolve(const std::vector<DefectSpec>& in,
   return out;
 }
 
-core::CampaignRunner::BusSetup bus_setup(std::vector<DefectSpec> defs) {
+core::BusSetup bus_setup(std::vector<DefectSpec> defs) {
   if (defs.empty()) return {};
   return [defs = std::move(defs)](si::CoupledBus& bus) {
     for (const DefectSpec& d : defs) apply_defect(bus, d);
@@ -232,24 +232,18 @@ ScenarioCampaign build_campaign(const ScenarioSpec& spec,
   }
 
   ScenarioCampaign sc;
+  sc.runner_ = core::CampaignRunner(cc);
 
   if (spec.sweep) {
     // Sweep lowering: one lazy source instead of a materialized unit
-    // list. Past the transcript threshold the campaign folds outcomes
-    // into streaming aggregates (O(1) memory in population size); the
-    // aggregate/chunking decision lives in the config, so it must be
-    // made before the runner is constructed.
-    auto source = std::make_unique<SweepUnitSource>(spec);
-    cc.aggregate_outcomes = source->count() > kSweepTranscriptThreshold;
-    sc.runner_ = core::CampaignRunner(cc);
-    sc.source_ = std::move(source);
+    // list. Whether the campaign keeps a per-unit transcript is the
+    // runner's rule, decided from the unit count alone.
+    sc.source_ = std::make_unique<SweepUnitSource>(spec);
     sc.runner_.set_source(sc.source_.get());
     sc.proto_ = build_prototype(spec);
     if (sc.proto_) sc.runner_.set_prototype_bus(sc.proto_.get());
     return sc;
   }
-
-  sc.runner_ = core::CampaignRunner(cc);
 
   util::Prng rng(spec.campaign.seed);
   const std::vector<DefectSpec> shared =

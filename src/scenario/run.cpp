@@ -12,7 +12,6 @@
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
 #include "scenario/build.hpp"
-#include "scenario/serialize.hpp"
 #include "scenario/sweep.hpp"
 #include "util/json.hpp"
 
@@ -67,28 +66,6 @@ ScenarioOutcome run_multiprocess(const ScenarioSpec& spec,
         "multi-process run: --max-chunks is incompatible with --workers");
   }
 
-  // Plan the split against an unexecuted campaign: unit count and the
-  // chunk width run() will schedule with.
-  std::size_t n = 0;
-  std::size_t chunk = 0;
-  bool aggregate = false;
-  {
-    BuildOptions probe_opt;
-    probe_opt.shards = 1;
-    ScenarioCampaign probe = build_campaign(spec, probe_opt);
-    n = probe.runner().size();
-    chunk = probe.runner().effective_chunk_size();
-    aggregate = probe.runner().config().aggregate_outcomes;
-  }
-  const std::size_t n_chunks = chunk == 0 ? 0 : (n + chunk - 1) / chunk;
-  if (n_chunks == 0) {
-    // Nothing to distribute; run in-process.
-    RunOptions inproc = opt;
-    inproc.workers = 0;
-    return run_scenario(spec, inproc);
-  }
-  const std::size_t workers = std::min(opt.workers, n_chunks);
-
   std::string ckpt = opt.checkpoint_path;
   const bool temp_ckpt = ckpt.empty();
   if (temp_ckpt) {
@@ -96,6 +73,26 @@ ScenarioOutcome run_multiprocess(const ScenarioSpec& spec,
             ("jsi_sweep_" + std::to_string(::getpid()) + ".checkpoint"))
                .string();
   }
+
+  // Plan the split against an unexecuted campaign: its checkpoint header
+  // carries the unit count and the chunk width run() will schedule with.
+  core::CheckpointHeader header;
+  {
+    BuildOptions probe_opt;
+    probe_opt.shards = 1;
+    probe_opt.checkpoint_path = ckpt;  // stamps the campaign fingerprint
+    header = build_campaign(spec, probe_opt).runner().checkpoint_header();
+  }
+  const std::size_t n = header.units;
+  const std::size_t chunk = header.chunk_size;
+  const std::size_t n_chunks = (n + chunk - 1) / chunk;
+  if (n_chunks == 0) {
+    // Nothing to distribute; run in-process.
+    RunOptions inproc = opt;
+    inproc.workers = 0;
+    return run_scenario(spec, inproc);
+  }
+  const std::size_t workers = std::min(opt.workers, n_chunks);
 
   // Fork the workers. Each child runs its range with telemetry and
   // progress off (heartbeats from N processes would interleave) and
@@ -153,11 +150,6 @@ ScenarioOutcome run_multiprocess(const ScenarioSpec& spec,
   // make the fold's loader stop early and discard every later part's
   // records; the dropped chunk simply re-runs in the fold below.
   {
-    core::CheckpointHeader header;
-    header.fingerprint = core::fingerprint_text(serialize(spec));
-    header.units = n;
-    header.chunk_size = chunk;
-    header.aggregate = aggregate;
     std::vector<std::string> parts;
     for (std::size_t w = 0; w < workers; ++w) parts.push_back(part_path(ckpt, w));
     core::merge_checkpoint_parts(ckpt, header, parts);
@@ -220,24 +212,30 @@ std::string render_events_jsonl(const core::CampaignResult& result) {
 
 std::string render_profile(const ScenarioSpec& spec,
                            const core::CampaignResult& result) {
-  // obs knows nothing about core, so bridge the outcome list into the
-  // neutral shape profile_report consumes.
+  // obs knows nothing about core, so bridge the result into the neutral
+  // shapes profile_report consumes. The totals are the folded books, the
+  // same numbers report.txt prints; the outcome list only ranks the
+  // slowest units, so an aggregated campaign (which retains just its
+  // failures) passes none.
+  obs::ProfileTotals totals;
+  totals.units = result.units_run;
+  totals.violations = result.violations;
+  totals.failures = result.failures;
+  totals.total_tcks = result.total_tcks;
+  totals.generation_tcks = result.generation_tcks;
+  totals.observation_tcks = result.observation_tcks;
   std::vector<obs::ProfileUnit> units;
-  units.reserve(result.units.size());
-  for (const core::UnitOutcome& u : result.units) {
-    obs::ProfileUnit p;
-    p.name = u.name;
-    p.total_tcks = u.total_tcks;
-    p.generation_tcks = u.generation_tcks;
-    p.observation_tcks = u.observation_tcks;
-    p.violation = u.violation;
-    p.failed = u.failed;
-    units.push_back(std::move(p));
+  if (!result.aggregated) {
+    units.reserve(result.units.size());
+    for (const core::UnitOutcome& u : result.units) {
+      units.push_back({u.name, u.total_tcks, u.generation_tcks,
+                       u.observation_tcks, u.failed});
+    }
   }
   obs::ProfileOptions po;
   po.tck_period_ps = spec.obs.tck_period_ps;
   return obs::profile_report(
-      units, result.metrics,
+      totals, units, result.metrics,
       result.telemetry ? &*result.telemetry : nullptr, po);
 }
 

@@ -1,12 +1,10 @@
 #include "scenario/sweep.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
-#include "core/bist.hpp"
-#include "core/session.hpp"
 #include "scenario/build.hpp"
-#include "si/model.hpp"
 #include "sim/time.hpp"
 #include "util/prng.hpp"
 
@@ -14,25 +12,19 @@ namespace jsi::scenario {
 
 namespace {
 
-core::UnitOutcome summarize(const core::IntegrityReport& rep) {
-  core::UnitOutcome o;
-  o.total_tcks = rep.total_tcks;
-  o.generation_tcks = rep.generation_tcks;
-  o.observation_tcks = rep.observation_tcks;
-  o.violation = rep.any_violation();
-  std::ostringstream os;
-  os << "nd=" << rep.nd_final.to_string() << " sd=" << rep.sd_final.to_string();
-  o.summary = os.str();
-  return o;
-}
-
-core::ObservationMethod method_enum(int method) {
-  switch (method) {
-    case 1: return core::ObservationMethod::OnceAtEnd;
-    case 2: return core::ObservationMethod::PerInitValue;
-    case 3: return core::ObservationMethod::PerPattern;
+/// The canned SoC session a sweep's session template runs.
+core::SocSession soc_session(SessionKind kind) {
+  switch (kind) {
+    case SessionKind::Enhanced: return core::SocSession::Enhanced;
+    case SessionKind::Parallel: return core::SocSession::Parallel;
+    case SessionKind::Conventional: return core::SocSession::Conventional;
+    case SessionKind::Bist: return core::SocSession::Bist;
+    case SessionKind::MultiBus:
+    case SessionKind::Extest:
+      break;
   }
-  throw std::logic_error("unvalidated observation method");
+  // Unreachable: the parser rejects sweep on non-soc topologies.
+  throw std::logic_error("sweep: unsupported session kind");
 }
 
 void apply_variation(si::BusParams& p, const VariationSpec& var,
@@ -87,8 +79,8 @@ SweepUnitSource::SweepUnitSource(const ScenarioSpec& spec) {
     shared_.insert(shared_.end(), own.begin(), own.end());
   }
 
-  kind_ = session.kind;
-  method_ = session.method;
+  session_ = soc_session(session.kind);
+  method_ = observation_method(session);
   guard_ = session.guard;
   name_prefix_ = session.name.empty()
                      ? std::string(session_kind_name(session.kind))
@@ -130,7 +122,7 @@ std::string SweepUnitSource::grid_prefix(std::size_t gid) {
 core::SocConfig SweepUnitSource::unit_config(std::size_t index) const {
   const GridPoint& g = grid_[index / sweep_.samples];
   core::SocConfig cfg = base_;
-  cfg.enhanced = kind_ != SessionKind::Conventional;
+  cfg.enhanced = session_ != core::SocSession::Conventional;
   if (g.nd_vhthr_frac) {
     cfg.nd.v_hthr_frac = *g.nd_vhthr_frac;
     // The release threshold tracks 0.10 below the arming threshold —
@@ -176,7 +168,7 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
     os << name_prefix_ << "_g" << gid << "_s" << sample;
     u.name = os.str();
   }
-  u.run = [cfg = std::move(cfg), defs = std::move(defs), kind = kind_,
+  u.run = [cfg = std::move(cfg), defs = std::move(defs), session = session_,
            method = method_, guard = guard_,
            gid](core::CampaignContext& ctx) {
     // Population books first: a die that fails mid-session still counts
@@ -186,63 +178,17 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
     const std::string prefix = grid_prefix(gid);
     reg.counter("sweep.units").inc();
     reg.counter(prefix + ".units").inc();
-    // Tag which interconnect kernel served this die, so merged BENCH /
-    // metrics JSONs distinguish model populations. Only booked for
-    // non-default models: rc_full_swing artifacts stay byte-exact.
-    if (cfg.bus.model != si::ModelKind::RcFullSwing) {
-      reg.counter(std::string("bus.model.") +
-                  si::model_kind_name(cfg.bus.model))
-          .inc();
-    }
 
     core::UnitOutcome o;
     try {
-      // Clone-or-build via the campaign bus factory: the warm clone path
-      // requires exact `si::same_params` equality (incl. model kind), so
-      // a process-varied die pays a fresh build and never inherits the
-      // base die's memoized waveforms.
-      si::CoupledBus bus = ctx.make_bus(core::effective_bus_params(cfg));
-      for (const DefectSpec& d : defs) apply_defect(bus, d);
-      switch (kind) {
-        case SessionKind::Enhanced: {
-          core::SiSocDevice soc(cfg, bus);
-          core::SiTestSession session(soc);
-          session.set_sink(&ctx.hub());
-          o = summarize(session.run(method_enum(method)));
-          break;
-        }
-        case SessionKind::Conventional: {
-          core::SiSocDevice soc(cfg, bus);
-          core::ConventionalSession session(soc);
-          session.set_sink(&ctx.hub());
-          o = summarize(session.run(method_enum(method)));
-          break;
-        }
-        case SessionKind::Parallel: {
-          core::SiSocDevice soc(cfg, bus);
-          core::SiTestSession session(soc);
-          session.set_sink(&ctx.hub());
-          o = summarize(session.run_parallel(method_enum(method), guard));
-          break;
-        }
-        case SessionKind::Bist: {
-          core::SiSocDevice soc(cfg, bus);
-          core::SiBistController ctl(soc);
-          ctl.set_sink(&ctx.hub());
-          const core::SiBistController::Result res = ctl.run();
-          o.total_tcks = res.tcks;
-          o.violation = !res.pass;
-          std::ostringstream os;
-          os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
-             << " sd=" << res.sd.to_string();
-          o.summary = os.str();
-          break;
-        }
-        case SessionKind::MultiBus:
-        case SessionKind::Extest:
-          // Unreachable: the parser rejects sweep on non-soc topologies.
-          throw std::logic_error("sweep: unsupported session kind");
-      }
+      // The canned session on a bus from the campaign factory: the warm
+      // clone path requires exact `si::same_params` equality (incl. model
+      // kind), so a process-varied die pays a fresh build and never
+      // inherits the base die's memoized waveforms.
+      o = core::run_soc_session(
+          ctx, cfg, session, method, guard, [&defs](si::CoupledBus& bus) {
+            for (const DefectSpec& d : defs) apply_defect(bus, d);
+          });
     } catch (...) {
       reg.counter("sweep.failures").inc();
       reg.counter(prefix + ".failures").inc();

@@ -12,11 +12,6 @@
 
 namespace jsi::scenario {
 
-/// Outcomes are folded into streaming aggregates (and the canonical
-/// report drops its per-unit lines) when a sweep expands past this many
-/// units; at or below it, the familiar per-unit transcript is kept.
-inline constexpr std::size_t kSweepTranscriptThreshold = 128;
-
 /// Lazy core::UnitSource over a sweep scenario: the campaign never holds
 /// more than the units currently running. Unit `i` is a pure function of
 /// (spec, i) — its grid point is `i / samples`, and all of its sampled
@@ -76,8 +71,8 @@ class SweepUnitSource : public core::UnitSource {
   std::uint64_t seed_ = 0;
   std::vector<DefectSpec> shared_;  ///< campaign-seeded, same for every die
   std::vector<GridPoint> grid_;
-  SessionKind kind_ = SessionKind::Enhanced;
-  int method_ = 1;
+  core::SocSession session_ = core::SocSession::Enhanced;
+  core::ObservationMethod method_ = core::ObservationMethod::OnceAtEnd;
   std::size_t guard_ = 2;
   std::string name_prefix_;
 };

@@ -1,5 +1,6 @@
 // Chunked scheduling + checkpoint/resume mechanics at the core layer:
-// the lazy UnitSource path, chunk-size invariance of the merged books,
+// the lazy UnitSource path, the runner's unit-count rule for the result
+// shape (per-unit up to kTranscriptThreshold units, aggregated past it),
 // the checkpoint file round-trip (bit-exact doubles included), torn-tail
 // tolerance, and kill-at-a-boundary resume equivalence at 1 and 4
 // shards. The scenario-level sweep suite rides on these guarantees in
@@ -226,53 +227,77 @@ TEST(CheckpointRunner, SourceAndAddAreMutuallyExclusive) {
 }
 
 TEST(CheckpointRunner, AggregateModeFoldsOutcomes) {
-  FakeSource src(40);
+  FakeSource src(300);
   CampaignConfig cfg;
   cfg.shards = 1;
-  cfg.aggregate_outcomes = true;
   const CampaignResult r = run_once(src, cfg);
   EXPECT_TRUE(r.aggregated);
-  EXPECT_TRUE(r.units.empty());
-  EXPECT_EQ(r.units_run, 40u);
-  // ceil(40/7): violations at 0,7,14,21,28,35.
-  EXPECT_EQ(r.violations, 6u);
-  ASSERT_EQ(r.failed.size(), 1u);
-  EXPECT_EQ(r.failed[0].index, 23u);
-  EXPECT_NE(r.failed[0].summary.find("cursed"), std::string::npos);
-  EXPECT_NE(r.to_text().find("40 units (aggregated)"), std::string::npos);
+  EXPECT_EQ(r.units_run, 300u);
+  // Multiples of 7 below 300: 0, 7, ..., 294.
+  EXPECT_EQ(r.violations, 43u);
+  EXPECT_EQ(r.failures, 1u);
+  // Only the failure is retained, addressed by its work-unit index.
+  ASSERT_EQ(r.units.size(), 1u);
+  EXPECT_EQ(r.units[0].index, 23u);
+  EXPECT_TRUE(r.units[0].failed);
+  EXPECT_NE(r.units[0].summary.find("cursed"), std::string::npos);
+  EXPECT_NE(r.to_text().find("300 units (aggregated)"), std::string::npos);
   EXPECT_NE(r.to_text().find("[23] fake_23: FAIL"), std::string::npos);
 }
 
-TEST(CheckpointRunner, ChunkSizeInvariantBooksInAggregateMode) {
-  // The merged counters and histograms must not depend on the chunk
-  // width (integer sums and bucket sums are associative); the canonical
-  // report must not either.
-  FakeSource src(41);
-  std::string baseline_text, baseline_json;
-  for (const std::size_t chunk : {1u, 4u, 7u, 64u}) {
-    CampaignConfig cfg;
-    cfg.shards = 3;
-    cfg.aggregate_outcomes = true;
-    cfg.chunk_size = chunk;
-    const CampaignResult r = run_once(src, cfg);
-    if (baseline_text.empty()) {
-      baseline_text = r.to_text();
-      baseline_json = r.metrics.to_json();
-      continue;
-    }
-    EXPECT_EQ(r.to_text(), baseline_text) << "chunk_size " << chunk;
-    EXPECT_EQ(r.metrics.to_json(), baseline_json) << "chunk_size " << chunk;
-  }
+TEST(CheckpointRunner, UnitCountDecidesTheResultShape) {
+  // At the threshold every outcome is kept, one unit per chunk; one unit
+  // past it the campaign aggregates in 64-unit chunks.
+  FakeSource at(core::kTranscriptThreshold);
+  CampaignRunner per_unit;
+  per_unit.set_source(&at);
+  EXPECT_FALSE(per_unit.aggregated());
+  EXPECT_EQ(per_unit.effective_chunk_size(), 1u);
+  const CampaignResult kept = per_unit.run();
+  EXPECT_FALSE(kept.aggregated);
+  ASSERT_EQ(kept.units.size(), core::kTranscriptThreshold);
+  EXPECT_EQ(kept.units[23].index, 23u);
+  EXPECT_TRUE(kept.units[23].failed);
+
+  FakeSource past(core::kTranscriptThreshold + 1);
+  CampaignRunner folded;
+  folded.set_source(&past);
+  EXPECT_TRUE(folded.aggregated());
+  EXPECT_EQ(folded.effective_chunk_size(), 64u);
+  const CampaignResult r = folded.run();
+  EXPECT_TRUE(r.aggregated);
+  EXPECT_EQ(r.units_run, core::kTranscriptThreshold + 1);
+  ASSERT_EQ(r.units.size(), 1u);
+  EXPECT_EQ(r.units[0].index, 23u);
+}
+
+TEST(CheckpointRunner, AddBuiltCampaignAggregatesPastThresholdToo) {
+  // The rule lives in the runner, not in the sweep lowering: a campaign
+  // of 129 add()ed units aggregates exactly like the same units served
+  // by a lazy source.
+  FakeSource src(core::kTranscriptThreshold + 1);
+  CampaignConfig cfg;
+  cfg.shards = 2;
+  CampaignRunner added(cfg);
+  for (std::size_t i = 0; i < src.count(); ++i) added.add(src.unit(i));
+  const CampaignResult from_add = added.run();
+  EXPECT_TRUE(from_add.aggregated);
+  ASSERT_EQ(from_add.units.size(), 1u);
+  EXPECT_EQ(from_add.units[0].index, 23u);
+
+  const CampaignResult from_source = run_once(src, cfg);
+  EXPECT_EQ(from_add.to_text(), from_source.to_text());
+  EXPECT_EQ(from_add.metrics.to_json(), from_source.metrics.to_json());
 }
 
 TEST(CheckpointRunner, KeepEventsIsIncompatibleWithAggregateAndCheckpoint) {
-  FakeSource src(4);
   {
+    FakeSource big(core::kTranscriptThreshold + 1);  // aggregated
     CampaignConfig cfg;
     cfg.keep_events = true;
-    cfg.aggregate_outcomes = true;
-    EXPECT_THROW(run_once(src, cfg), std::invalid_argument);
+    EXPECT_THROW(run_once(big, cfg), std::invalid_argument);
   }
+  FakeSource src(4);
   {
     CampaignConfig cfg;
     cfg.keep_events = true;
@@ -287,40 +312,33 @@ TEST(CheckpointRunner, KeepEventsIsIncompatibleWithAggregateAndCheckpoint) {
 }
 
 TEST(CheckpointRunner, RangeMustBeChunkAligned) {
-  FakeSource src(40);
+  FakeSource src(300);  // aggregated: 64-unit chunks
   CampaignConfig cfg;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
   cfg.range_begin = 4;  // mid-chunk
-  cfg.range_end = 16;
+  cfg.range_end = 128;
   EXPECT_THROW(run_once(src, cfg), std::invalid_argument);
 }
 
 TEST(CheckpointRunner, RangeRestrictedRunIsIncomplete) {
-  FakeSource src(40);
+  FakeSource src(300);
   CampaignConfig cfg;
   cfg.shards = 1;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
-  cfg.range_begin = 8;
-  cfg.range_end = 24;
+  cfg.range_begin = 64;
+  cfg.range_end = 192;
   const CampaignResult r = run_once(src, cfg);
   EXPECT_FALSE(r.complete);
-  EXPECT_EQ(r.units_run, 16u);
+  EXPECT_EQ(r.units_run, 128u);
 }
 
 // ---- checkpoint + resume ----------------------------------------------------
 
 /// Run to completion with max_chunks-sized steps, then compare against
 /// the uninterrupted run — the kill-at-a-boundary simulation.
-void expect_resume_identical(std::size_t units, std::size_t chunk,
-                             std::size_t step, std::size_t shards,
-                             bool aggregate, const std::string& tag) {
+void expect_resume_identical(std::size_t units, std::size_t step,
+                             std::size_t shards, const std::string& tag) {
   FakeSource src(units);
   CampaignConfig base;
   base.shards = shards;
-  base.aggregate_outcomes = aggregate;
-  base.chunk_size = chunk;
 
   const CampaignResult whole = run_once(src, base);
 
@@ -345,37 +363,37 @@ void expect_resume_identical(std::size_t units, std::size_t chunk,
 }
 
 TEST(CheckpointRunner, ResumeByteIdenticalAcrossBoundaries) {
-  // Several kill boundaries x both outcome modes, 1 and 4 shards.
-  expect_resume_identical(40, 8, 1, 1, true, "agg_s1_k1");
-  expect_resume_identical(40, 8, 2, 1, true, "agg_s1_k2");
-  expect_resume_identical(40, 8, 3, 4, true, "agg_s4_k3");
-  expect_resume_identical(40, 8, 1, 4, true, "agg_s4_k1");
-  expect_resume_identical(17, 1, 5, 1, false, "unit_s1_k5");
-  expect_resume_identical(17, 1, 4, 4, false, "unit_s4_k4");
+  // Several kill boundaries x both result shapes (300 units aggregate
+  // in five 64-unit chunks, 17 units keep one chunk per unit), 1 and 4
+  // shards.
+  expect_resume_identical(300, 1, 1, "agg_s1_k1");
+  expect_resume_identical(300, 2, 1, "agg_s1_k2");
+  expect_resume_identical(300, 3, 4, "agg_s4_k3");
+  expect_resume_identical(300, 1, 4, "agg_s4_k1");
+  expect_resume_identical(17, 5, 1, "unit_s1_k5");
+  expect_resume_identical(17, 4, 4, "unit_s4_k4");
 }
 
 TEST(CheckpointRunner, ResumeSkipsCompletedChunks) {
-  FakeSource src(40);
+  FakeSource src(300);
   const std::string path = temp_path("skip.jsonl");
   std::remove(path.c_str());
   CampaignConfig cfg;
   cfg.shards = 1;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
   cfg.checkpoint_path = path;
   cfg.max_chunks = 3;
   const CampaignResult first = run_once(src, cfg);
   EXPECT_FALSE(first.complete);
-  EXPECT_EQ(src.materialized(), 24u);
+  EXPECT_EQ(src.materialized(), 192u);
 
   src.reset_materialized();
   cfg.resume = true;
   cfg.max_chunks = 0;
   const CampaignResult second = run_once(src, cfg);
   EXPECT_TRUE(second.complete);
-  EXPECT_EQ(src.materialized(), 16u)
+  EXPECT_EQ(src.materialized(), 108u)
       << "resume must only materialize the unfinished chunks";
-  EXPECT_EQ(second.units_run, 40u);
+  EXPECT_EQ(second.units_run, 300u);
 
   // A third run resumes a complete checkpoint: a pure merge pass.
   src.reset_materialized();
@@ -388,13 +406,11 @@ TEST(CheckpointRunner, ResumeSkipsCompletedChunks) {
 }
 
 TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
-  FakeSource src(40);
+  FakeSource src(300);
   const std::string path = temp_path("mismatch.jsonl");
   std::remove(path.c_str());
   CampaignConfig cfg;
   cfg.shards = 1;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
   cfg.checkpoint_path = path;
   cfg.fingerprint = "spec-A";
   cfg.max_chunks = 1;
@@ -408,20 +424,20 @@ TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
   cfg.fingerprint = "spec-B";
   EXPECT_THROW(run_once(src, cfg), core::CheckpointMismatchError);
 
+  // Same identity, different unit count: a different layout (40 units
+  // keep one chunk per unit, 300 aggregate in 64-unit chunks).
   cfg.fingerprint = "spec-A";
-  cfg.chunk_size = 4;  // different chunk layout
-  EXPECT_THROW(run_once(src, cfg), core::CheckpointMismatchError);
+  FakeSource fewer(40);
+  EXPECT_THROW(run_once(fewer, cfg), core::CheckpointMismatchError);
   std::remove(path.c_str());
 }
 
 TEST(CheckpointRunner, CheckpointGrowsByOneLinePerChunk) {
-  FakeSource src(32);
+  FakeSource src(256);  // four 64-unit chunks
   const std::string path = temp_path("growth.jsonl");
   std::remove(path.c_str());
   CampaignConfig cfg;
   cfg.shards = 1;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
   cfg.checkpoint_path = path;
   cfg.max_chunks = 2;
   (void)run_once(src, cfg);
@@ -554,12 +570,10 @@ TEST(Checkpoint, ResumeTruncatesTornTailBeforeAppending) {
 // ---- cooperative cancel ----------------------------------------------------
 
 TEST(CheckpointRunner, PreSetCancelFlagStopsBeforeAnyChunk) {
-  FakeSource src(40);
+  FakeSource src(300);
   std::atomic<bool> cancel{true};
   CampaignConfig cfg;
   cfg.shards = 4;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
   cfg.cancel = &cancel;
   const CampaignResult r = run_once(src, cfg);
   EXPECT_TRUE(r.cancelled);
@@ -576,11 +590,9 @@ TEST(CheckpointRunner, CancelMidRunStopsClaimingChunks) {
   std::atomic<bool> cancel{false};
   CampaignConfig cfg;
   cfg.shards = 1;  // deterministic: one worker, chunks claimed in order
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
   cfg.cancel = &cancel;
   CampaignRunner runner(cfg);
-  // Wrap the source: unit 19 flips the flag.
+  // Wrap the source: unit 150 flips the flag.
   class Wrap : public UnitSource {
    public:
     Wrap(const FakeSource& inner, std::atomic<bool>& flag)
@@ -588,7 +600,7 @@ TEST(CheckpointRunner, CancelMidRunStopsClaimingChunks) {
     std::size_t count() const override { return inner_.count(); }
     CampaignUnit unit(std::size_t index) const override {
       CampaignUnit u = inner_.unit(index);
-      if (index == 19) {
+      if (index == 150) {
         auto run = std::move(u.run);
         u.run = [run = std::move(run), this](CampaignContext& ctx) {
           flag_.store(true, std::memory_order_relaxed);
@@ -606,22 +618,20 @@ TEST(CheckpointRunner, CancelMidRunStopsClaimingChunks) {
   const CampaignResult r = runner.run();
   EXPECT_TRUE(r.cancelled);
   EXPECT_FALSE(r.complete);
-  // Unit 19 lives in chunk 2 (units 16..23): chunks 0..2 were claimed
+  // Unit 150 lives in chunk 2 (units 128..191): chunks 0..2 were claimed
   // before the flag rose; chunk 3 onward must never start.
-  EXPECT_EQ(r.units_run, 24u);
+  EXPECT_EQ(r.units_run, 192u);
 }
 
 TEST(CheckpointRunner, CancelledRunKeepsItsCheckpointResumable) {
   // Cancel is just a premature stop: whatever was recorded must resume
   // to a byte-identical completion, exactly like a kill.
-  FakeSource src(40);
+  FakeSource src(300);
   const std::string path = temp_path("cancel_resume.jsonl");
   std::remove(path.c_str());
 
   CampaignConfig base;
   base.shards = 1;
-  base.aggregate_outcomes = true;
-  base.chunk_size = 8;
   const CampaignResult whole = run_once(src, base);
 
   std::atomic<bool> cancel{false};

@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/profile.hpp"
+#include "util/json.hpp"
 
 // ---- allocation counting ----------------------------------------------------
 //
@@ -207,7 +207,7 @@ TEST(Telemetry, StartStopEmitsAtLeastTwoParseableHeartbeats) {
   std::uint64_t prev_seq = 0, prev_done = 0;
   while (std::getline(lines, line)) {
     std::string err;
-    const auto doc = json::parse(line, &err);
+    const auto doc = util::json::parse(line, &err);
     ASSERT_TRUE(doc.has_value()) << err << " in: " << line;
     ASSERT_TRUE(doc->is_object());
     EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v1");
@@ -293,10 +293,10 @@ TEST(Telemetry, HeartbeatJsonlRoundTripsThroughTheParser) {
   std::ostringstream os;
   write_snapshot_jsonl(os, golden_snapshot());
   std::string err;
-  const auto doc = json::parse(os.str(), &err);
+  const auto doc = util::json::parse(os.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   EXPECT_DOUBLE_EQ(doc->find("units_per_sec")->number, 9.5);
-  const json::Value* workers = doc->find("workers");
+  const util::json::Value* workers = doc->find("workers");
   ASSERT_NE(workers, nullptr);
   ASSERT_EQ(workers->array.size(), 2u);
   EXPECT_EQ(workers->array[1].find("unit")->str, "multibus_\"3\"");
@@ -336,10 +336,23 @@ TEST(Telemetry, ProgressLineHandlesDoneAndUnknownEta) {
 
 std::vector<ProfileUnit> profile_units() {
   std::vector<ProfileUnit> units(3);
-  units[0] = {"fast", 100, 60, 40, false, false};
-  units[1] = {"slow", 1000, 700, 300, true, false};
-  units[2] = {"broken", 500, 300, 200, false, true};
+  units[0] = {"fast", 100, 60, 40, false};
+  units[1] = {"slow", 1000, 700, 300, false};
+  units[2] = {"broken", 500, 300, 200, true};
   return units;
+}
+
+/// The folded books of profile_units(): "slow" flagged a violation,
+/// "broken" failed.
+ProfileTotals profile_totals() {
+  ProfileTotals t;
+  t.units = 3;
+  t.violations = 1;
+  t.failures = 1;
+  t.total_tcks = 1600;
+  t.generation_tcks = 1060;
+  t.observation_tcks = 540;
+  return t;
 }
 
 TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
@@ -356,7 +369,8 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
   for (int i = 0; i < 90; ++i) h.observe(50);
   for (int i = 0; i < 10; ++i) h.observe(500);
 
-  const std::string text = profile_report(profile_units(), reg);
+  const std::string text =
+      profile_report(profile_totals(), profile_units(), reg);
   EXPECT_NE(text.find("== campaign profile ==\n"), std::string::npos);
   EXPECT_NE(text.find("units: 3 (1 violations, 1 failures)\n"),
             std::string::npos);
@@ -384,11 +398,23 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
   EXPECT_NE(text.find("workers: no telemetry captured"), std::string::npos);
 }
 
+TEST(ProfileReport, TotalsComeFromTheBooksNotTheUnitList) {
+  // An aggregated campaign retains no per-unit list: the header must
+  // still print the folded totals, and the slowest-units table is left
+  // out rather than ranking nothing.
+  Registry reg;
+  const std::string text = profile_report(profile_totals(), {}, reg);
+  EXPECT_NE(text.find("units: 3 (1 violations, 1 failures)\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("tcks: total=1600 generation=1060"), std::string::npos);
+  EXPECT_EQ(text.find("slowest units"), std::string::npos);
+}
+
 TEST(ProfileReport, FoldsTelemetryWorkerUtilizationWhenPresent) {
   Registry reg;
   const Snapshot tele = golden_snapshot();
   const std::string text =
-      profile_report(profile_units(), reg, &tele);
+      profile_report(profile_totals(), profile_units(), reg, &tele);
   EXPECT_NE(text.find("workers (measured, 750 ms wall):\n"),
             std::string::npos);
   EXPECT_NE(text.find("w0: units=4 busy=0.60 ms idle=0.20 ms "

@@ -1,7 +1,8 @@
 // Sweep campaigns end to end: parse diagnostics (pinned strings), the
 // lazy SweepUnitSource's per-index derivation (grid mapping, process
 // variation, per-die defects — all pure functions of the unit index),
-// the aggregate-transcript threshold, and the population-scale
+// the runner's aggregate-transcript threshold as a sweep sees it (report
+// and --profile agree on the folded totals), and the population-scale
 // determinism contract: report/metrics/yield byte-identical across
 // shard counts, across checkpoint kill/resume boundaries, and across
 // forked worker processes.
@@ -214,7 +215,7 @@ TEST(SweepBuild, SmallSweepKeepsPerUnitTranscript) {
 }
 
 TEST(SweepBuild, LargeSweepAggregates) {
-  // 129 units crosses kSweepTranscriptThreshold = 128.
+  // 129 units crosses core::kTranscriptThreshold = 128.
   const ScenarioSpec spec = parse_scenario(
       wrap(R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
            R"("sessions":[{"kind":"enhanced","method":1}],)"
@@ -225,6 +226,51 @@ TEST(SweepBuild, LargeSweepAggregates) {
   EXPECT_EQ(out.result.units_run, 129u);
   EXPECT_NE(out.report_text.find("129 units (aggregated)"),
             std::string::npos);
+}
+
+/// The sweep of SweepBuild.LargeSweepAggregates: 129 units, aggregated.
+std::string aggregated_sweep_doc() {
+  return wrap(R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
+              R"("sessions":[{"kind":"enhanced","method":1}],)"
+              R"("sweep":{"samples":129},"campaign":{"seed":1})");
+}
+
+TEST(SweepProfile, AggregatedProfileTotalsMatchTheReport) {
+  // An aggregated campaign retains no per-unit list, so --profile must
+  // print the folded books report.txt prints — never "units: 0".
+  scenario::RunOptions opt;
+  opt.profile = true;
+  const scenario::ScenarioOutcome out =
+      scenario::run_scenario(parse_scenario(aggregated_sweep_doc()), opt);
+  ASSERT_TRUE(out.result.aggregated);
+
+  unsigned long long units = 0, violations = 0, failures = 0;
+  unsigned long long total = 0, generation = 0, observation = 0;
+  ASSERT_EQ(std::sscanf(out.report_text.c_str(),
+                        "campaign: %llu units (aggregated), %llu violations, "
+                        "%llu failures\ntcks: total=%llu generation=%llu "
+                        "observation=%llu\n",
+                        &units, &violations, &failures, &total, &generation,
+                        &observation),
+            6)
+      << out.report_text;
+  EXPECT_EQ(units, 129u);
+  EXPECT_GT(total, 0u);
+
+  const std::string units_line = "units: " + std::to_string(units) + " (" +
+                                 std::to_string(violations) + " violations, " +
+                                 std::to_string(failures) + " failures)\n";
+  const std::string tcks_line = "tcks: total=" + std::to_string(total) +
+                                " generation=" + std::to_string(generation) +
+                                " (";
+  const std::string obs_part =
+      "observation=" + std::to_string(observation) + " (";
+  EXPECT_NE(out.profile_text.find(units_line), std::string::npos)
+      << out.profile_text;
+  EXPECT_NE(out.profile_text.find(tcks_line), std::string::npos)
+      << out.profile_text;
+  EXPECT_NE(out.profile_text.find(obs_part), std::string::npos)
+      << out.profile_text;
 }
 
 // ---- the determinism contract ----------------------------------------------
