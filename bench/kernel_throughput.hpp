@@ -1,5 +1,5 @@
 // Shared measurement core for the waveform-kernel throughput metric:
-// transitions/sec of the batched (table-backed) path versus the raw
+// transitions/sec of the batched (store-backed) path versus the raw
 // scalar solver over the complete MA pattern workload, plus the
 // bit-for-bit parity pin between the two. Used by bench/perf_kernel.cpp
 // (dumps the numbers into BENCH_perf_kernel.json) and by
@@ -21,12 +21,12 @@ namespace jsi::bench {
 
 struct KernelThroughput {
   std::size_t n_wires = 0;
-  double batched_tps = 0.0;  ///< transitions/sec, precompiled-table path
+  double batched_tps = 0.0;  ///< transitions/sec, prefilled-store path
   double scalar_tps = 0.0;   ///< transitions/sec, raw per-wire heap solver
   double ratio = 0.0;        ///< batched_tps / scalar_tps
-  std::uint64_t table_hits = 0;
-  std::uint64_t table_misses = 0;
-  std::size_t table_entries = 0;
+  std::uint64_t cache_hits = 0;    ///< batched bus's store lookups
+  std::uint64_t cache_misses = 0;
+  std::size_t cache_entries = 0;
   bool parity_ok = false;  ///< batched == scalar bit-for-bit on every sample
 };
 
@@ -61,11 +61,10 @@ inline KernelThroughput measure_kernel_throughput(
 
   si::CoupledBus batched(p);
   batched.precompile_tables();
-  // Reference: the raw analytic solver, no tables, no memo — every call
+  // Reference: the raw analytic solver with the store off — every call
   // does the full per-wire exponential evaluation into fresh heap
   // storage, exactly the pre-batching hot path.
   si::CoupledBus scalar(p);
-  scalar.set_tables_enabled(false);
   scalar.set_cache_enabled(false);
 
   KernelThroughput out;
@@ -86,7 +85,7 @@ inline KernelThroughput measure_kernel_throughput(
     }
   }
 
-  // Batched timing (steady state: tables built, arena warm).
+  // Batched timing (steady state: MA set prefilled).
   double checksum = 0.0;
   const std::size_t batched_reps = scalar_reps * 64;
   const auto b0 = clock_type::now();
@@ -115,9 +114,9 @@ inline KernelThroughput measure_kernel_throughput(
   out.batched_tps = bsec > 0.0 ? btrans / bsec : 0.0;
   out.scalar_tps = ssec > 0.0 ? strans / ssec : 0.0;
   out.ratio = out.scalar_tps > 0.0 ? out.batched_tps / out.scalar_tps : 0.0;
-  out.table_hits = batched.table_hits();
-  out.table_misses = batched.table_misses();
-  out.table_entries = batched.table_entries();
+  out.cache_hits = batched.cache_hits();
+  out.cache_misses = batched.cache_misses();
+  out.cache_entries = batched.cache_entries();
   // Keep the checksum observable so the timed loops cannot be elided.
   if (checksum == 0.12345) out.ratio = -out.ratio;
   return out;

@@ -82,8 +82,8 @@ void BM_BusTransition(benchmark::State& state) {
 BENCHMARK(BM_BusTransition)->Arg(8)->Arg(32);
 
 void BM_BusTransitionUncached(benchmark::State& state) {
-  // Baseline for the memoized transition cache: the same workload as
-  // BM_BusTransition with the cache disabled, so the raw analytic solver
+  // Baseline for the waveform store: the same workload as
+  // BM_BusTransition with the store disabled, so the raw analytic solver
   // is metered on every call.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   si::BusParams p;
@@ -101,8 +101,8 @@ void BM_BusTransitionUncached(benchmark::State& state) {
 BENCHMARK(BM_BusTransitionUncached)->Arg(8)->Arg(32);
 
 void BM_BusTransitionBatched(benchmark::State& state) {
-  // The table-backed hot path: the full MA workload served from the
-  // precompiled transition tables. Compare against BM_BusTransitionUncached
+  // The store-backed hot path: the full MA workload served from the
+  // prefilled waveform store. Compare against BM_BusTransitionUncached
   // for the raw batched-vs-scalar gap (asserted >= 3x by
   // kernel_ratio_guard).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -121,7 +121,7 @@ void BM_BusTransitionBatched(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(pairs.size()));
-  state.counters["table_hit_rate"] = bus.table_hit_rate();
+  state.counters["hit_rate"] = bus.cache_hit_rate();
 }
 BENCHMARK(BM_BusTransitionBatched)->Arg(8)->Arg(32);
 
@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   collect_session_metrics();
   // Headline kernel numbers for BENCH_perf_kernel.json: MA-workload
-  // transitions/sec on the batched (table) path vs the raw scalar solver,
-  // plus the table hit rate the measurement observed, once per registered
+  // transitions/sec on the batched (store) path vs the raw scalar solver,
+  // plus the store hit rate the measurement observed, once per registered
   // interconnect model. The default model additionally keeps the legacy
   // unsuffixed gauge names so existing dashboards keep reading. The >= 3x
   // floor on each ratio is enforced by the kernel_ratio_guard ctest; here
@@ -317,16 +317,17 @@ int main(int argc, char** argv) {
   for (si::ModelKind kind : si::kAllModelKinds) {
     const bench::KernelThroughput kt =
         bench::measure_kernel_throughput(8, 4, kind);
-    const std::uint64_t tlook = kt.table_hits + kt.table_misses;
-    const double hit_rate = tlook == 0 ? 0.0
-                                       : static_cast<double>(kt.table_hits) /
-                                             static_cast<double>(tlook);
+    const std::uint64_t lookups = kt.cache_hits + kt.cache_misses;
+    const double hit_rate = lookups == 0
+                                ? 0.0
+                                : static_cast<double>(kt.cache_hits) /
+                                      static_cast<double>(lookups);
     if (kind == si::ModelKind::RcFullSwing) {
       reg.gauge("kernel.transitions_per_sec.batched").set(kt.batched_tps);
       reg.gauge("kernel.transitions_per_sec.scalar").set(kt.scalar_tps);
       reg.gauge("kernel.batched_vs_scalar_ratio").set(kt.ratio);
       reg.gauge("kernel.parity_ok").set(kt.parity_ok ? 1.0 : 0.0);
-      reg.gauge("kernel.table_hit_rate").set(hit_rate);
+      reg.gauge("kernel.cache_hit_rate").set(hit_rate);
     }
     const std::string prefix =
         std::string("kernel.transitions_per_sec.") + si::model_kind_name(kind);

@@ -165,7 +165,7 @@ std::string fingerprint_text(std::string_view text) {
 }
 
 void write_checkpoint_header(std::ostream& os, const CheckpointHeader& h) {
-  os << "{\"schema\":\"jsi.checkpoint.v1\",\"fingerprint\":";
+  os << "{\"schema\":\"" << kCheckpointSchema << "\",\"fingerprint\":";
   json::write_escaped_string(os, h.fingerprint);
   os << ",\"units\":" << h.units << ",\"chunk_size\":" << h.chunk_size
      << ",\"aggregate\":" << (h.aggregate ? "true" : "false") << '}';
@@ -239,9 +239,11 @@ CheckpointData load_checkpoint(const std::string& path) {
   std::string err;
   std::optional<json::Value> header = json::parse(line, &err);
   if (!header) fail("\"" + path + "\" header: " + err);
-  if (string_member(*header, "schema") != "jsi.checkpoint.v1") {
-    fail("\"" + path + "\": unknown schema \"" +
-         string_member(*header, "schema") + "\"");
+  const std::string schema = string_member(*header, "schema");
+  if (schema != kCheckpointSchema) {
+    throw CheckpointMismatchError("checkpoint: \"" + path + "\" has schema \"" +
+                                  schema + "\", this build writes \"" +
+                                  kCheckpointSchema + "\"");
   }
 
   CheckpointData data;

@@ -42,12 +42,20 @@ std::string fingerprint_text(std::string_view text);
 /// Thrown when a resume is attempted against a checkpoint written for a
 /// different campaign: the spec fingerprint (which discriminates the
 /// interconnect model and every other spec field) or the scheduling
-/// layout (units/chunk_size/aggregate) does not match. Derives
+/// layout (units/chunk_size/aggregate) does not match, or the header
+/// schema is not kCheckpointSchema. Derives
 /// std::runtime_error so pre-existing generic handlers keep working.
 class CheckpointMismatchError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Header schema this build writes and resumes. Records carry merged
+/// registries, so a change to the counter families they hold bumps the
+/// version: v2 books the bus waveform store as one `bus.cache_*` pair
+/// where v1 also carried `bus.table_*`. Any other schema is rejected with
+/// CheckpointMismatchError rather than folded.
+inline constexpr const char* kCheckpointSchema = "jsi.checkpoint.v2";
 
 struct CheckpointHeader {
   std::string fingerprint;       ///< caller identity (spec hash)
@@ -63,7 +71,8 @@ struct CheckpointData {
   std::vector<ChunkRecord> records;
 };
 
-/// Parse `path`. Throws std::runtime_error when the file cannot be read
+/// Parse `path`. Throws CheckpointMismatchError when the header schema is
+/// not kCheckpointSchema, std::runtime_error when the file cannot be read
 /// or the header/records are malformed.
 CheckpointData load_checkpoint(const std::string& path);
 

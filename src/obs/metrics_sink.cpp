@@ -1,6 +1,5 @@
 #include "obs/metrics_sink.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -78,14 +77,7 @@ void MetricsSink::on_event(const Event& e) {
       reg_->counter("bus.transitions").inc();
       break;
     case EventKind::CacheLookup:
-      // Two lookup families share the event kind, split by name: the
-      // per-wire memo cache ("si.cache") and the per-transition
-      // precompiled MA tables ("si.table").
-      if (e.name != nullptr && std::strcmp(e.name, "si.table") == 0) {
-        reg_->counter(e.a != 0 ? "bus.table_hits" : "bus.table_misses").inc();
-      } else {
-        reg_->counter(e.a != 0 ? "bus.cache_hits" : "bus.cache_misses").inc();
-      }
+      reg_->counter(e.a != 0 ? "bus.cache_hits" : "bus.cache_misses").inc();
       break;
     case EventKind::DetectorFired:
       reg_->counter(e.name[0] == 'N' ? "detector.nd_fired"

@@ -77,14 +77,10 @@ std::string profile_report(const ProfileTotals& totals,
        << " p50=" << h.quantile(0.5) << " p95=" << h.quantile(0.95) << '\n';
   }
 
-  const std::uint64_t table_hits = merged.counter_value("bus.table_hits");
-  const std::uint64_t table_misses = merged.counter_value("bus.table_misses");
-  const std::uint64_t memo_hits = merged.counter_value("bus.cache_hits");
-  const std::uint64_t memo_misses = merged.counter_value("bus.cache_misses");
-  if (table_hits + table_misses + memo_hits + memo_misses > 0) {
-    os << "bus lookups: table " << table_hits << '/'
-       << (table_hits + table_misses) << " hits, memo " << memo_hits << '/'
-       << (memo_hits + memo_misses) << " hits\n";
+  const std::uint64_t hits = merged.counter_value("bus.cache_hits");
+  const std::uint64_t lookups = hits + merged.counter_value("bus.cache_misses");
+  if (lookups > 0) {
+    os << "bus lookups: " << hits << '/' << lookups << " hits\n";
   }
 
   // Top-k slowest units by TCK count (deterministic tiebreak: the

@@ -47,7 +47,7 @@ struct ProfileOptions {
 /// observation) and by TAP state, sessions by kind, per-TapOp latency
 /// summaries (count / mean / p50 / p95 from the op.tcks histogram), the
 /// top-k slowest of `units` by TCK count (omitted when `units` is empty),
-/// bus table/memo hit rates, and — when a final telemetry snapshot is
+/// the bus waveform-store hit rate, and — when a final telemetry snapshot is
 /// supplied — measured per-worker busy/idle utilization. Deterministic
 /// for everything derived from `totals`, `units` and `merged`; only the
 /// telemetry block carries wall-clock numbers.

@@ -80,15 +80,12 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
   auto proto = std::make_unique<si::CoupledBus>(bp);
   // One canonical warming transition (all-zero -> even wires high):
   // every unit's clone starts from this memoized state, independent of
-  // shard count or worker identity.
+  // shard count or worker identity. Its first lookup also prefills the
+  // MA set, so no worker ever pays the prefill.
   util::BitVec zeros(bp.n_wires, false);
   util::BitVec evens(bp.n_wires, false);
   for (std::size_t w = 0; w < bp.n_wires; w += 2) evens.set(w, true);
   proto->transition(zeros, evens);
-  // Precompile the MA transition tables too: every per-unit clone then
-  // starts with a warm table as well as a warm memo cache, so no worker
-  // ever pays the table build (shard-count invariant by construction).
-  proto->precompile_tables();
   return proto;
 }
 

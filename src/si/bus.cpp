@@ -1,9 +1,11 @@
 #include "si/bus.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
 
+#include "mafm/fault.hpp"
 #include "si/model.hpp"
 
 namespace jsi::si {
@@ -13,9 +15,6 @@ CoupledBus::CoupledBus(BusParams p) : model_(p) {}
 CoupledBus CoupledBus::clone() const {
   CoupledBus c = *this;
   c.sink_ = nullptr;  // sinks are thread-local; never shared with a clone
-  // The arena copy is fresh (see WaveArena) and the last batch's pointers
-  // reference *our* storage; a clone starts with no live batch.
-  c.batch_ptrs_.clear();
   return c;
 }
 
@@ -35,10 +34,7 @@ void CoupledBus::clear_defects() { model_.clear_defects(); }
 
 void CoupledBus::set_cache_enabled(bool on) {
   cache_on_ = on;
-  if (!on) {
-    cache_.clear();
-    cache_order_.clear();
-  }
+  if (!on) clear_cache();
 }
 
 double CoupledBus::cache_hit_rate() const {
@@ -48,29 +44,20 @@ double CoupledBus::cache_hit_rate() const {
              : static_cast<double>(cache_hits_) / static_cast<double>(lookups);
 }
 
-void CoupledBus::clear_cache() {
-  cache_.clear();
-  cache_order_.clear();
+std::size_t CoupledBus::cache_entries() const {
+  return (prefill_.size() + fifo_.size()) / model_.params().samples;
 }
 
-void CoupledBus::set_tables_enabled(bool on) {
-  tables_on_ = on;
-  if (!on) table_.clear();
+void CoupledBus::clear_cache() {
+  prefill_ = {};
+  fifo_ = {};
+  slot_of_ = {};
+  slot_key_ = {};
+  store_gen_ = kStaleGeneration;
 }
 
 void CoupledBus::precompile_tables() {
-  if (!tables_on_ ||
-      !model_for(params().model).tables_supported(model_.n())) {
-    return;
-  }
-  if (!table_.fresh(model_)) table_.build(model_, kernel_);
-}
-
-double CoupledBus::table_hit_rate() const {
-  const std::uint64_t lookups = table_hits_ + table_misses_;
-  return lookups == 0
-             ? 0.0
-             : static_cast<double>(table_hits_) / static_cast<double>(lookups);
+  if (cache_on_) sync_store();
 }
 
 void CoupledBus::require_vector_widths(const util::BitVec& prev,
@@ -80,67 +67,109 @@ void CoupledBus::require_vector_widths(const util::BitVec& prev,
   }
 }
 
-void CoupledBus::emit_cache_event(const char* name, bool hit,
-                                  std::int64_t b) const {
-  if (!sink_) return;
-  obs::Event e;
-  e.kind = obs::EventKind::CacheLookup;
-  e.name = name;
-  e.a = hit ? 1 : 0;
-  e.b = b;
-  sink_->on_event(e);
+void CoupledBus::sync_store() const {
+  if (store_gen_ == model_.defect_generation()) return;
+  const std::size_t n = model_.n();
+  const std::size_t samples = model_.params().samples;
+  prefill_.clear();
+  fifo_.clear();
+  slot_key_.clear();
+  prefill_slots_ = 0;
+  slot_of_.assign(n << 10, kNoSlot);  // neighborhood_key < n * 2^10
+  fifo_inserts_ = 0;
+  store_gen_ = model_.defect_generation();
+
+  // Prefill, in two passes. The first marks every window of the MA set
+  // so prefill_ is sized once: growing it slot by slot would reallocate
+  // and copy it several times on every fresh bus. The second evaluates
+  // each pair that still has an unfilled window and keeps those windows.
+  // Across the set most windows repeat, so the prefill holds far fewer
+  // than 6*n*n waveforms.
+  if (n <= kMaxPrefillWires) {
+    std::vector<mafm::VectorPair> pairs;
+    std::size_t windows = 0;
+    for (const mafm::MaFault f : mafm::kAllFaults) {
+      for (std::size_t victim = 0; victim < n; ++victim) {
+        const mafm::VectorPair& vp =
+            pairs.emplace_back(mafm::vectors_for(f, n, victim));
+        for (std::size_t i = 0; i < n; ++i) {
+          std::uint32_t& s = slot_of_[neighborhood_key(n, i, vp.v1, vp.v2)];
+          if (s == kNoSlot) {
+            s = kUnfilled;
+            ++windows;
+          }
+        }
+      }
+    }
+    prefill_.reserve(windows * samples);
+    std::vector<double> block(n * samples);
+    for (const mafm::VectorPair& vp : pairs) {
+      bool evaluated = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t key = neighborhood_key(n, i, vp.v1, vp.v2);
+        if (slot_of_[key] != kUnfilled) continue;
+        if (!evaluated) {
+          kernel_.evaluate(model_, vp.v1, vp.v2, block.data());
+          evaluated = true;
+        }
+        slot_of_[key] = static_cast<std::uint32_t>(prefill_slots_++);
+        slot_key_.push_back(key);
+        prefill_.insert(prefill_.end(), block.data() + i * samples,
+                        block.data() + (i + 1) * samples);
+      }
+    }
+  }
 }
 
-void CoupledBus::memo_wire_into(std::size_t i, const util::BitVec& prev,
-                                const util::BitVec& next, double* dst) const {
-  const std::size_t samples = model_.params().samples;
-  if (!cache_on_) {
-    TransitionKernel::solve_wire(model_, i, prev, next, dst);
-    return;
-  }
-  if (cache_gen_ != model_.defect_generation()) {
-    cache_.clear();
-    cache_order_.clear();
-    cache_gen_ = model_.defect_generation();
-  }
+std::uint32_t CoupledBus::lookup(std::size_t i, const util::BitVec& prev,
+                                 const util::BitVec& next,
+                                 const std::uint32_t* held,
+                                 std::size_t n_held) const {
   const std::uint64_t key = neighborhood_key(model_.n(), i, prev, next);
-  const auto it = cache_.find(key);
-  const bool hit = it != cache_.end();
-  emit_cache_event("si.cache", hit, static_cast<std::int64_t>(i));
+  std::uint32_t s = slot_of_[key];
+  const bool hit = s != kNoSlot;
+  if (sink_) {
+    obs::Event e;
+    e.kind = obs::EventKind::CacheLookup;
+    e.name = "si.cache";
+    e.a = hit ? 1 : 0;
+    e.b = static_cast<std::int64_t>(i);
+    sink_->on_event(e);
+  }
   if (hit) {
     ++cache_hits_;
-    // Copy out rather than aliasing the entry: a later wire's miss can
-    // FIFO-evict this entry within the same batch.
-    std::memcpy(dst, it->second.data(), samples * sizeof(double));
-    return;
+    return s;
   }
   ++cache_misses_;
-  TransitionKernel::solve_wire(model_, i, prev, next, dst);
-  // Bounded FIFO: evict the oldest entry instead of flushing wholesale,
-  // so a working set one larger than the cap degrades gracefully rather
-  // than thrashing to a 0% hit rate.
-  while (cache_.size() >= kMaxCacheEntries && !cache_order_.empty()) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
+  s = static_cast<std::uint32_t>(prefill_slots_ +
+                                 fifo_inserts_ % kMaxCacheEntries);
+  if (fifo_inserts_ < kMaxCacheEntries) {
+    fifo_.resize(fifo_.size() + model_.params().samples);
+    slot_key_.push_back(key);
+  } else {
+    // Bounded FIFO: recycle the oldest slot — unless the caller still
+    // reads it.
+    if (std::find(held, held + n_held, s) != held + n_held) return kNoSlot;
+    slot_of_[slot_key_[s]] = kNoSlot;
+    slot_key_[s] = key;
   }
-  cache_.emplace(
-      key, Waveform(WaveformView(dst, samples, model_.params().sample_dt)));
-  cache_order_.push_back(key);
+  slot_of_[key] = s;
+  ++fifo_inserts_;
+  TransitionKernel::solve_wire(model_, i, prev, next, slot_data(s));
+  return s;
 }
 
 Waveform CoupledBus::wire_response(std::size_t i, const util::BitVec& prev,
                                    const util::BitVec& next) const {
   require_vector_widths(prev, next);
   Waveform w(model_.params().samples, model_.params().sample_dt);
-  memo_wire_into(i, prev, next, w.data());
-  return w;
-}
-
-Waveform CoupledBus::solve_wire_response(std::size_t i,
-                                         const util::BitVec& prev,
-                                         const util::BitVec& next) const {
-  Waveform w(model_.params().samples, model_.params().sample_dt);
-  TransitionKernel::solve_wire(model_, i, prev, next, w.data());
+  if (!cache_on_) {
+    TransitionKernel::solve_wire(model_, i, prev, next, w.data());
+    return w;
+  }
+  sync_store();
+  std::memcpy(w.data(), slot_data(lookup(i, prev, next, nullptr, 0)),
+              w.samples() * sizeof(double));
   return w;
 }
 
@@ -159,38 +188,33 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
   require_vector_widths(prev, next);
   const std::size_t n = model_.n();
   const std::size_t samples = model_.params().samples;
+
+  // Resolve every wire to a slot first: a miss may grow the FIFO
+  // buffer, so pointers are only taken once the batch's slots are final.
+  batch_slots_.assign(n, kNoSlot);
+  if (cache_on_) {
+    sync_store();
+    for (std::size_t i = 0; i < n; ++i) {
+      batch_slots_[i] = lookup(i, prev, next, batch_slots_.data(), i);
+    }
+  }
+  batch_ptrs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (batch_slots_[i] != kNoSlot) {
+      batch_ptrs_[i] = slot_data(batch_slots_[i]);
+      continue;
+    }
+    scratch_.resize(n * samples);
+    double* dst = scratch_.data() + i * samples;
+    TransitionKernel::solve_wire(model_, i, prev, next, dst);
+    batch_ptrs_[i] = dst;
+  }
+
   TransitionBatch b;
+  b.ptrs = batch_ptrs_.data();
   b.n_wires = n;
   b.samples = samples;
   b.dt = model_.params().sample_dt;
-  batch_ptrs_.assign(n, nullptr);
-
-  if (tables_on_ && model_for(params().model).tables_supported(n)) {
-    if (!table_.fresh(model_)) table_.build(model_, kernel_);
-    const std::size_t e = table_.find(prev, next);
-    const bool hit = e != TransitionTable::npos;
-    emit_cache_event("si.table", hit, -1);
-    if (hit) {
-      ++table_hits_;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch_ptrs_[i] = table_.wire_data(e, i);
-      }
-      b.ptrs = batch_ptrs_.data();
-      return b;
-    }
-    ++table_misses_;
-  }
-
-  // Non-MA transition (or tables unavailable): evaluate through the memo
-  // cache into the arena, one span per wire, zero per-transition mallocs
-  // in steady state.
-  arena_.reset();
-  for (std::size_t i = 0; i < n; ++i) {
-    double* dst = arena_.alloc(samples);
-    memo_wire_into(i, prev, next, dst);
-    batch_ptrs_[i] = dst;
-  }
-  b.ptrs = batch_ptrs_.data();
   return b;
 }
 

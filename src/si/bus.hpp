@@ -3,15 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/events.hpp"
-#include "si/arena.hpp"
 #include "si/bus_model.hpp"
 #include "si/kernel.hpp"
-#include "si/tables.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
@@ -42,24 +38,21 @@ namespace jsi::si {
 ///
 /// Internally this is a facade over three components: an immutable-between-
 /// mutations `BusModel` (SoA electrical state), a `TransitionKernel`
-/// (batched flat-pass solver with a scalar reference path) and a
-/// `TransitionTable` (the 6*n MA vector pairs precompiled per defect
-/// generation). The hot path is `transition_batch()`; `wire_response()` /
-/// `transition()` are the owning scalar API with the historical memo-cache
-/// semantics, byte-compatible with pre-kernel revisions.
+/// (batched flat-pass solver with a scalar reference path) and one
+/// waveform store: a pool of solved per-wire waveforms keyed by
+/// `neighborhood_key`, prefilled with the 6*n MA vector pairs per defect
+/// generation. The hot path is `transition_batch()`; `wire_response()` /
+/// `transition()` are the owning scalar API over the same store.
 class CoupledBus {
  public:
   explicit CoupledBus(BusParams p);
 
-  /// Deep copy for per-shard use: electrical state, injected defects, the
-  /// memoized transition cache (entries *and* hit/miss counters) and the
-  /// precompiled transition table (pool *and* hit/miss counters) are
-  /// carried over, so a clone of a warmed bus starts warm. The
-  /// observability sink is deliberately NOT carried over — a clone lives
-  /// on another worker thread, and sharing the source's sink would race;
-  /// attach a thread-local sink with set_sink() after cloning. The
-  /// evaluation arena is likewise per-clone (fresh and empty), so two
-  /// clones never alias scratch storage.
+  /// Deep copy for per-shard use: electrical state, injected defects and
+  /// the waveform store (slots *and* hit/miss counters) are carried over,
+  /// so a clone of a warmed bus starts warm. The observability sink is
+  /// deliberately NOT carried over — a clone lives on another worker
+  /// thread, and sharing the source's sink would race; attach a
+  /// thread-local sink with set_sink() after cloning.
   CoupledBus clone() const;
 
   const BusParams& params() const { return model_.params(); }
@@ -112,7 +105,7 @@ class CoupledBus {
 
   /// Receiving-end waveform of wire `i` for bus transition `prev -> next`
   /// (bit vectors of width n, bit k = logic level of wire k). Owning
-  /// scalar API; served through the memo cache, never the tables.
+  /// scalar API: a copy out of the waveform store.
   Waveform wire_response(std::size_t i, const util::BitVec& prev,
                          const util::BitVec& next) const;
 
@@ -121,9 +114,8 @@ class CoupledBus {
                                    const util::BitVec& next) const;
 
   /// All wire waveforms for one bus transition, zero-copy. The fast path:
-  /// an MA vector pair is served straight from the precompiled table (one
-  /// hash probe, no solver work, no copies); anything else is evaluated
-  /// through the memo cache into the internal arena. The returned batch
+  /// every wire resolves to its waveform in the store (solved into a slot
+  /// on a miss), MA pattern or not, with no copies. The returned batch
   /// and every view derived from it are valid until the next
   /// transition_batch() call, defect mutation, clone or destruction of
   /// this bus.
@@ -135,32 +127,39 @@ class CoupledBus {
   /// vdd/2 for rc_full_swing, the level-converter Vt for low_swing).
   util::Logic settled_logic(WaveformView w) const;
 
-  // ---- memoized transition cache ------------------------------------------
+  // ---- waveform store ------------------------------------------------------
   //
-  // The generic fallback for transitions outside the MA pattern set
-  // (inter-pattern settling steps, custom vectors, buses wider than the
-  // tables support). The key is the wire index plus the 5-bit local
-  // neighbourhood [i-2, i+2] of (prev, next) — the exact electrical
-  // support of wire_response: a wire's waveform depends on its own
-  // transition, its neighbours' transitions (glitch injection) and
-  // *their* neighbours (the aggressors' Miller time constants), and on
-  // nothing farther away.
+  // One pool of solved waveforms, one slot (`samples` doubles) each. The
+  // key is the wire index plus the 5-bit local neighbourhood [i-2, i+2]
+  // of (prev, next) (`neighborhood_key`) — the exact electrical support
+  // of a wire's response: its own transition, its neighbours'
+  // transitions (glitch injection) and *their* neighbours (the
+  // aggressors' Miller time constants), and nothing farther away. Every
+  // lookup, batched or scalar, MA pattern or not, goes through this one
+  // key, so a waveform is solved at most once per generation while it
+  // stays resident.
   //
-  // Invalidation contract: every defect mutation (scale_coupling,
+  // Generation rule: every defect mutation (scale_coupling,
   // add_series_resistance, inject_crosstalk_defect, clear_defects) bumps
-  // `defect_generation()`; cached entries belong to one generation and
-  // are dropped wholesale on the first lookup after a bump. Hit/miss
-  // counters survive invalidation (they meter the workload, not the
-  // cache contents).
+  // `defect_generation()`. The store belongs to one generation and is
+  // flushed wholesale on the first lookup after a bump; that lookup also
+  // prefills the MA set (see precompile_tables). Hit/miss counters
+  // survive invalidation (they meter the workload, not the contents).
   //
-  // Capacity is a bounded FIFO: when a miss lands on a full cache the
-  // oldest entry is evicted to make room. (An earlier revision flushed
-  // the whole cache when full, which degraded a working set of
-  // kMaxCacheEntries + 1 to a 0% hit rate; only a generation bump or an
-  // explicit clear flushes wholesale now.)
+  // Capacity rule: the prefilled MA slots stay for the generation; other
+  // waveforms share kMaxCacheEntries slots recycled as a bounded FIFO
+  // (a miss on a full store reuses the oldest slot, so a working set one
+  // larger than the cap degrades by one entry, not to a 0% hit rate). A
+  // batch never recycles a slot it already resolved: such a wire is
+  // solved into the bus's scratch block instead, uncached.
+  //
+  // Slots are addressed by offset (the MA prefill and the FIFO slots each
+  // in one flat buffer), so clone() is a plain copy and a clone of a warm
+  // bus starts warm.
 
-  /// Enable/disable memoization (enabled by default; disable to meter
-  /// the raw solver).
+  /// Enable/disable the store (enabled by default). Disabling drops it
+  /// and solves every wire into a per-bus scratch block on the kernel's
+  /// scalar reference path, unmetered.
   void set_cache_enabled(bool on);
   bool cache_enabled() const { return cache_on_; }
 
@@ -170,95 +169,94 @@ class CoupledBus {
   /// hits / (hits + misses), 0 when nothing was looked up yet.
   double cache_hit_rate() const;
 
-  /// Entries currently held (bounded by kMaxCacheEntries).
-  std::size_t cache_entries() const { return cache_.size(); }
+  /// Waveforms currently resident (prefill + FIFO slots in use).
+  std::size_t cache_entries() const;
 
-  /// Monotone counter of defect-state mutations; cached waveforms and
-  /// precompiled tables are only ever served within one generation.
+  /// Monotone counter of defect-state mutations; stored waveforms are
+  /// only ever served within one generation.
   std::uint64_t defect_generation() const {
     return model_.defect_generation();
   }
 
-  /// Drop all cached waveforms (counters are kept). Deliberately
-  /// non-const: flushing is a real state mutation, and per-shard clones
-  /// must not be able to reset each other through a const reference.
+  /// Drop all stored waveforms (counters are kept); the next lookup
+  /// refills. Deliberately non-const: flushing is a real state mutation,
+  /// and per-shard clones must not be able to reset each other through a
+  /// const reference.
   void clear_cache();
 
-  /// Attach an observability sink. Every memoized lookup reports a
-  /// CacheLookup record named "si.cache" (a=1 hit, a=0 miss, b=wire);
-  /// every batched table probe reports one "si.table" CacheLookup per
-  /// transition (a=1 hit, a=0 miss, b=-1). nullptr (default) disables
-  /// emission; the uncached solver path never emits.
-  void set_sink(obs::Sink* sink) { sink_ = sink; }
-
-  /// Cap on resident memo entries; the oldest entry is evicted (FIFO)
-  /// when a miss lands on a full cache (one entry is up to `samples`
-  /// doubles, so the cap bounds memory at ~16 MB with the 2048-sample
-  /// default).
-  static constexpr std::size_t kMaxCacheEntries = 1024;
-
-  // ---- precompiled MA transition tables -----------------------------------
-  //
-  // transition_batch() first probes the TransitionTable: the 6*n MA
-  // vector pairs of this bus, solved once per defect generation — built
-  // eagerly by precompile_tables() (the campaign warm-prototype path) or
-  // lazily on the first batched evaluation after construction or a
-  // defect mutation. Table traffic is metered separately from the memo
-  // cache: table_hits()/table_misses() count whole transitions, while
-  // cache_hits()/cache_misses() keep their historical per-wire memo
-  // semantics untouched.
-
-  /// Enable/disable table lookups (enabled by default; disabling drops
-  /// the table and routes every batch through the memo path).
-  void set_tables_enabled(bool on);
-  bool tables_enabled() const { return tables_on_; }
-
-  /// Build the MA tables for the current defect state now (idempotent
-  /// per generation). The campaign runner calls this on the prototype so
-  /// every per-unit clone starts with a warm table.
+  /// Prefill the store with the MA set for the current defect state now
+  /// rather than on the generation's first lookup (idempotent per
+  /// generation; buses wider than kMaxPrefillWires and disabled stores
+  /// skip it). The prefill is not metered.
   void precompile_tables();
 
-  std::uint64_t table_hits() const { return table_hits_; }
-  std::uint64_t table_misses() const { return table_misses_; }
+  /// Forwards to set_cache_enabled(); kept for callers that name the MA
+  /// prefill. Not a second toggle.
+  void set_tables_enabled(bool on) { set_cache_enabled(on); }
 
-  /// hits / (hits + misses), 0 when no batch was evaluated yet.
-  double table_hit_rate() const;
+  /// Forwards to cache_misses(): the store's one miss counter.
+  std::uint64_t table_misses() const { return cache_misses(); }
 
-  /// Distinct precompiled (prev, next) pairs currently resident.
-  std::size_t table_entries() const { return table_.entries(); }
+  /// Attach an observability sink. Every store lookup reports a
+  /// CacheLookup record named "si.cache" (a=1 hit, a=0 miss, b=wire).
+  /// nullptr (default) disables emission; a disabled store never emits.
+  void set_sink(obs::Sink* sink) { sink_ = sink; }
+
+  /// FIFO slots beside the MA prefill (one slot is `samples` doubles, so
+  /// ~16 MB with the 2048-sample default).
+  static constexpr std::size_t kMaxCacheEntries = 1024;
+
+  /// Widest bus whose MA set is prefilled: the set grows as 6*n pairs
+  /// (2,012 waveforms, 31 MB at 64 wires), so wider buses, outside the
+  /// paper's regime, use the FIFO slots alone.
+  static constexpr std::size_t kMaxPrefillWires = 64;
 
  private:
-  /// The raw (uncached) solver behind wire_response, on the shared
-  /// kernel's scalar reference path.
-  Waveform solve_wire_response(std::size_t i, const util::BitVec& prev,
-                               const util::BitVec& next) const;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kUnfilled = 0xfffffffeu;  // prefill mark
+  // store_gen_ of a flushed store: no defect generation reaches it.
+  static constexpr std::uint64_t kStaleGeneration = ~std::uint64_t{0};
 
   void require_vector_widths(const util::BitVec& prev,
                              const util::BitVec& next) const;
 
-  /// Memo lookup of wire i into `dst` (samples doubles), with the exact
-  /// historical counter/eviction/event semantics of wire_response.
-  void memo_wire_into(std::size_t i, const util::BitVec& prev,
-                      const util::BitVec& next, double* dst) const;
+  /// Bring the store to the current generation: flush after a bump (or a
+  /// clear), then prefill the MA set.
+  void sync_store() const;
 
-  void emit_cache_event(const char* name, bool hit, std::int64_t b) const;
+  /// Slot of wire i's waveform for prev -> next, solved into a slot on a
+  /// miss; meters and emits the lookup. Returns kNoSlot when the miss
+  /// would recycle one of held[0 .. n_held) — the caller then solves into
+  /// scratch.
+  std::uint32_t lookup(std::size_t i, const util::BitVec& prev,
+                       const util::BitVec& next, const std::uint32_t* held,
+                       std::size_t n_held) const;
+
+  double* slot_data(std::uint32_t s) const {
+    const std::size_t samples = model_.params().samples;
+    return s < prefill_slots_ ? prefill_.data() + s * samples
+                              : fifo_.data() + (s - prefill_slots_) * samples;
+  }
 
   BusModel model_;
 
   bool cache_on_ = true;
-  mutable std::unordered_map<std::uint64_t, Waveform> cache_;
-  mutable std::deque<std::uint64_t> cache_order_;  // insertion order (FIFO)
-  mutable std::uint64_t cache_gen_ = 0;  // generation cache_ belongs to
+  // Slots [0, prefill_slots_) are the MA set in prefill_; slot
+  // prefill_slots_ + f is FIFO slot f in fifo_. Two buffers so that
+  // growing the FIFO never moves (and copies) the prefill.
+  mutable std::vector<double> prefill_;
+  mutable std::vector<double> fifo_;
+  mutable std::vector<std::uint32_t> slot_of_;  // neighborhood_key -> slot
+  mutable std::vector<std::uint64_t> slot_key_;  // slot -> key
+  mutable std::size_t prefill_slots_ = 0;
+  mutable std::size_t fifo_inserts_ = 0;  // FIFO slots claimed since flush
+  mutable std::uint64_t store_gen_ = kStaleGeneration;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 
-  bool tables_on_ = true;
-  mutable TransitionTable table_;
-  mutable std::uint64_t table_hits_ = 0;
-  mutable std::uint64_t table_misses_ = 0;
-
   mutable TransitionKernel kernel_;
-  mutable WaveArena arena_;
+  mutable std::vector<double> scratch_;  // n*samples: unstored wires
+  mutable std::vector<std::uint32_t> batch_slots_;
   mutable std::vector<const double*> batch_ptrs_;
 
   obs::Sink* sink_ = nullptr;

@@ -50,8 +50,8 @@ struct BusParams {
 /// contiguous per-wire arrays below in one flat pass. The model is
 /// immutable between defect mutations; every mutation bumps
 /// `defect_generation()` and rebuilds the derived arrays, which is what
-/// lets the transition tables and memo cache key their validity off a
-/// single integer compare.
+/// lets the bus's waveform store key its validity off a single integer
+/// compare.
 ///
 /// SoA arrays (all indexed by wire, except `coupling_data` by pair):
 ///  * `coupling_data()[p]`   — effective coupling cap of pair (p, p+1) [F]
@@ -85,9 +85,8 @@ class BusModel {
   /// Remove all injected defects.
   void clear_defects();
 
-  /// Monotone counter of defect-state mutations; derived caches (memo
-  /// entries, precompiled transition tables) are only ever valid within
-  /// one generation.
+  /// Monotone counter of defect-state mutations; derived caches (the
+  /// bus's waveform store) are only ever valid within one generation.
   std::uint64_t defect_generation() const { return defect_gen_; }
 
   // ---- electrical queries (bounds-checked scalar forms) -------------------

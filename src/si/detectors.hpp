@@ -47,7 +47,7 @@ class NdCell {
   /// after (`expected`) the transition. Passing the *driven* final level —
   /// rather than inferring it from the waveform — lets the cell flag a
   /// line that erroneously settles at the wrong rail (e.g. a slow droop).
-  /// Takes a non-owning view so batched (arena/table-backed) waveforms
+  /// Takes a non-owning view so batched (store-backed) waveforms
   /// are scanned without copies; an owning `Waveform` converts implicitly.
   void observe(WaveformView w, util::Logic initial, util::Logic expected);
 

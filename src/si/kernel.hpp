@@ -14,7 +14,7 @@
 namespace jsi::si {
 
 /// One evaluated bus transition: a per-wire array of sample pointers into
-/// kernel/table-owned storage. Non-owning — the batch (and every
+/// the bus's waveform store. Non-owning — the batch (and every
 /// `WaveformView` derived from it) is valid until the owning
 /// `CoupledBus`'s next `transition_batch` call, defect mutation, clone or
 /// destruction.
@@ -48,7 +48,7 @@ struct TransitionBatch {
 ///
 /// The only heap state is the reusable pass-1 scratch (sized n, amortized
 /// to zero allocations in steady state); sample storage is provided by
-/// the caller (arena- or table-backed).
+/// the caller (the bus's waveform store or scratch block).
 class TransitionKernel {
  public:
   /// Fill `out[0 .. n*samples)` with all wire waveforms of prev -> next.
@@ -68,13 +68,12 @@ class TransitionKernel {
   KernelScratch scratch_;
 };
 
-/// Memo key of wire `i` under transition prev -> next: the wire index plus
+/// Store key of wire `i` under transition prev -> next: the wire index plus
 /// the 5-bit local neighbourhood [i-2, i+2] of both vectors — the exact
 /// electrical support of the per-wire solver (own transition, neighbours'
 /// transitions, and *their* neighbours' Miller time constants).
-/// Out-of-range positions encode as 0, which the solver ignores. Shared by
-/// the `CoupledBus` memo cache and the transition-table builder's
-/// waveform dedup pool.
+/// Out-of-range positions encode as 0, which the solver ignores. Always
+/// below `n_wires << 10`; the `CoupledBus` waveform store indexes by it.
 std::uint64_t neighborhood_key(std::size_t n_wires, std::size_t i,
                                const util::BitVec& prev,
                                const util::BitVec& next);

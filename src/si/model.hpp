@@ -24,8 +24,8 @@ struct KernelScratch {
 /// The pluggable electrical policy of a bus: everything about a
 /// `CoupledBus` that depends on *how the wire is driven and received*
 /// lives behind this interface, while the model-agnostic machinery —
-/// SoA defect state, memo cache, MA transition tables, arena, detectors,
-/// sessions — is shared by every model.
+/// SoA defect state, the waveform store, detectors, sessions — is shared
+/// by every model.
 ///
 /// Contract for implementations:
 ///  * `evaluate()` and `solve_wire()` must agree bit-for-bit. The way to
@@ -85,10 +85,6 @@ class InterconnectModel {
   virtual void solve_wire(const BusModel& m, std::size_t i,
                           const util::BitVec& prev, const util::BitVec& next,
                           double* out) const = 0;
-
-  /// May the precompiled MA transition tables serve an n-wire bus of
-  /// this model? Default: the generic `TransitionTable` width limit.
-  virtual bool tables_supported(std::size_t n_wires) const;
 
   /// Are the model-specific params of `a` and `b` equal? The nine shared
   /// fields are compared by `same_params`; this hook covers the rest.

@@ -12,8 +12,8 @@ namespace jsi::si {
 
 /// Non-owning view of a uniformly sampled voltage waveform.
 ///
-/// The batched transition kernel writes wire samples into arena- or
-/// table-owned storage; a `WaveformView` is the 3-word handle (pointer,
+/// The batched transition kernel writes wire samples into the bus's
+/// waveform store; a `WaveformView` is the 3-word handle (pointer,
 /// length, dt) the detectors and metrics scan without copying. It carries
 /// the full read-side API of `Waveform`, and a `Waveform` converts to a
 /// view implicitly, so every scanning consumer takes a view and accepts

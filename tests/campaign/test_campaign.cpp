@@ -162,8 +162,8 @@ TEST(Campaign, ExternalBusDeviceRunsASession) {
   const auto rb = b.run(ObservationMethod::OnceAtEnd);
   EXPECT_EQ(ra.total_tcks, rb.total_tcks);
   EXPECT_EQ(ra.nd_final.to_string(), rb.nd_final.to_string());
-  EXPECT_GT(bus.cache_misses(), 0u) << "the session ran through the "
-                                       "externally-owned bus";
+  EXPECT_GT(bus.cache_hits() + bus.cache_misses(), 0u)
+      << "the session ran through the externally-owned bus";
 }
 
 TEST(Campaign, MultiBusPrototypeValidatesWidth) {

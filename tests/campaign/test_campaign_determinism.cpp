@@ -161,6 +161,8 @@ TEST(CampaignDeterminism, CacheCountersShardInvariantViaPrototypeClone) {
       hits1 = r.metrics.counter_value("bus.cache_hits");
       misses1 = r.metrics.counter_value("bus.cache_misses");
       EXPECT_GT(hits1, 0u) << "warmed clones must produce hits";
+      EXPECT_EQ(r.metrics.counters().count("bus.table_hits"), 0u)
+          << "the bus store books one counter family";
     } else {
       EXPECT_EQ(r.metrics.counter_value("bus.cache_hits"), hits1)
           << shards << " shards";

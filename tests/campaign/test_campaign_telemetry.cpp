@@ -76,7 +76,7 @@ std::vector<util::json::Value> checked_heartbeats(const std::string& jsonl) {
     EXPECT_TRUE(doc.has_value()) << err << " in: " << line;
     if (!doc) continue;
     EXPECT_TRUE(doc->is_object());
-    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v1");
+    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v2");
     const auto u64 = [&doc](const char* key) {
       const util::json::Value* v = doc->find(key);
       EXPECT_NE(v, nullptr) << key;

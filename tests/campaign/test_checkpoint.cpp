@@ -195,7 +195,7 @@ TEST(Checkpoint, RejectsWrongSchemaAndMissingFile) {
     std::ofstream os(path, std::ios::binary);
     os << "{\"schema\":\"something.else\"}\n";
   }
-  EXPECT_THROW(core::load_checkpoint(path), std::runtime_error);
+  EXPECT_THROW(core::load_checkpoint(path), core::CheckpointMismatchError);
   std::remove(path.c_str());
 }
 
@@ -429,6 +429,48 @@ TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
   cfg.fingerprint = "spec-A";
   FakeSource fewer(40);
   EXPECT_THROW(run_once(fewer, cfg), core::CheckpointMismatchError);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRunner, ResumeRejectsV1Checkpoint) {
+  // v1 records carry the retired bus.table_* counters beside bus.cache_*;
+  // folding them into this build's books would mix two counter families.
+  // Same campaign, same layout, old schema: a typed rejection before any
+  // unit runs, and the file is left as it was.
+  FakeSource src(300);
+  const std::string path = temp_path("v1.jsonl");
+  const std::string layout =
+      "\"fingerprint\":\"spec-A\",\"units\":300,\"chunk_size\":64,"
+      "\"aggregate\":true}\n";
+  const std::string v1 =
+      "{\"schema\":\"jsi.checkpoint.v1\"," + layout +
+      "{\"chunk\":0,\"agg\":{\"units\":64,\"violations\":0,"
+      "\"failures\":0,\"total_tcks\":0,\"generation_tcks\":0,"
+      "\"observation_tcks\":0},\"registry\":{\"counters\":"
+      "{\"bus.cache_hits\":8,\"bus.table_hits\":1},\"gauges\":{},"
+      "\"histograms\":{}},\"outcomes\":[]}\n";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << v1;
+  }
+  CampaignConfig cfg;
+  cfg.shards = 1;
+  cfg.checkpoint_path = path;
+  cfg.fingerprint = "spec-A";
+  cfg.resume = true;
+  EXPECT_THROW(run_once(src, cfg), core::CheckpointMismatchError);
+  EXPECT_EQ(src.materialized(), 0u);
+  std::ostringstream kept;
+  kept << std::ifstream(path, std::ios::binary).rdbuf();
+  EXPECT_EQ(kept.str(), v1);
+
+  // The same header under this build's schema resumes: the schema alone
+  // was the mismatch.
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << "{\"schema\":\"" << core::kCheckpointSchema << "\"," << layout;
+  }
+  EXPECT_TRUE(run_once(src, cfg).complete);
   std::remove(path.c_str());
 }
 

@@ -86,10 +86,8 @@ TEST(WorkerProgress, PublishPathAllocatesNothing) {
   d.busy_ns = 1000;
   d.transitions = 7;
   d.tcks = 42;
-  d.table_hits = 3;
-  d.table_misses = 1;
-  d.memo_hits = 2;
-  d.memo_misses = 2;
+  d.cache_hits = 5;
+  d.cache_misses = 3;
 
   const std::uint64_t before = g_thread_allocs;
   for (int i = 0; i < 1000; ++i) {
@@ -210,7 +208,7 @@ TEST(Telemetry, StartStopEmitsAtLeastTwoParseableHeartbeats) {
     const auto doc = util::json::parse(line, &err);
     ASSERT_TRUE(doc.has_value()) << err << " in: " << line;
     ASSERT_TRUE(doc->is_object());
-    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v1");
+    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v2");
     const std::uint64_t seq =
         static_cast<std::uint64_t>(doc->find("seq")->number);
     const std::uint64_t done =
@@ -249,8 +247,7 @@ Snapshot golden_snapshot() {
   s.units_per_sec = 9.5;
   s.transitions_per_sec = 1200.0;
   s.tcks_per_sec = 6000.0;
-  s.table_hit_rate = 0.75;
-  s.memo_hit_rate = 0.5;
+  s.cache_hit_rate = 0.75;
   WorkerSnapshot w0;
   w0.worker = 0;
   w0.units_started = 4;
@@ -275,12 +272,12 @@ TEST(Telemetry, HeartbeatJsonlMatchesSchemaGolden) {
   write_snapshot_jsonl(os, golden_snapshot());
   EXPECT_EQ(
       os.str(),
-      "{\"schema\":\"jsi.telemetry.v1\",\"seq\":3,"
+      "{\"schema\":\"jsi.telemetry.v2\",\"seq\":3,"
       "\"wall_ms\":1754500000123,\"t_ms\":750,\"units_total\":12,"
       "\"units_done\":7,\"units_running\":2,\"units_per_sec\":9.5,"
       "\"transitions\":900,\"transitions_per_sec\":1200,"
-      "\"tcks\":4500,\"tcks_per_sec\":6000,\"table_hit_rate\":0.75,"
-      "\"memo_hit_rate\":0.5,\"workers\":["
+      "\"tcks\":4500,\"tcks_per_sec\":6000,\"cache_hit_rate\":0.75,"
+      "\"workers\":["
       "{\"worker\":0,\"units_started\":4,\"units_done\":4,"
       "\"busy_ns\":600000,\"idle_ns\":200000,\"utilization\":0.75,"
       "\"unit\":null},"
@@ -363,8 +360,8 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
   reg.counter("tck.state.shift").inc(1200);
   reg.counter("tck.state.capture").inc(200);
   reg.counter("tck.state.update").inc(200);
-  reg.counter("bus.table_hits").inc(30);
-  reg.counter("bus.table_misses").inc(10);
+  reg.counter("bus.cache_hits").inc(30);
+  reg.counter("bus.cache_misses").inc(10);
   Histogram& h = reg.histogram("op.tcks", {10, 100, 1000});
   for (int i = 0; i < 90; ++i) h.observe(50);
   for (int i = 0; i < 10; ++i) h.observe(500);
@@ -383,7 +380,7 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
             std::string::npos);
   EXPECT_NE(text.find("op.tcks: count=100 mean="), std::string::npos);
   EXPECT_NE(text.find("p95="), std::string::npos);
-  EXPECT_NE(text.find("bus lookups: table 30/40 hits"), std::string::npos);
+  EXPECT_NE(text.find("bus lookups: 30/40 hits\n"), std::string::npos);
   // Top-k order: slow (1000) > broken (500, FAILED) > fast (100).
   const std::size_t slow = text.find("1. slow tcks=1000");
   const std::size_t broken = text.find("2. broken tcks=500");

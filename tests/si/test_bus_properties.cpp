@@ -1,6 +1,6 @@
 // Physics property tests for the coupled-bus solver: linearity, symmetry
 // and monotonicity checks that hold for any parameter choice — plus the
-// randomized differential suite pinning the batched (table/arena) path
+// randomized differential suite pinning the batched (store-backed) path
 // bit-for-bit against the scalar reference solver.
 
 #include <gtest/gtest.h>
@@ -159,18 +159,17 @@ TEST(BusProperties, NoSelfGlitchWithoutSwitchingNeighbors) {
 
 // ---- batched vs scalar differential suite ---------------------------------
 //
-// The batched kernel (transition_batch: precompiled tables + arena memo
-// path) must agree with the raw per-wire scalar solver on every output
+// The batched path (transition_batch through the waveform store: MA
+// prefill plus solved-on-miss slots) must agree with the raw per-wire scalar solver on every output
 // *bit* — not just within a tolerance. Both paths share the same noinline
 // solver primitives, so any divergence is a real defect (e.g. an FP
-// contraction difference or a stale table), and EXPECT_EQ on doubles is
+// contraction difference or a stale slot), and EXPECT_EQ on doubles is
 // the correct assertion strength.
 
-/// A scalar reference twin of `p`: no tables, no memo — every call runs
-/// the raw analytic solver.
+/// A scalar reference twin of `p`: store off — every call runs the raw
+/// analytic solver.
 CoupledBus scalar_reference(const BusParams& p) {
   CoupledBus bus(p);
-  bus.set_tables_enabled(false);
   bus.set_cache_enabled(false);
   return bus;
 }
@@ -182,8 +181,8 @@ BitVec random_vec(util::Prng& rng, std::size_t n) {
 }
 
 /// The workload that matters: every MA vector pair of the bus, plus
-/// `extra` random (generally non-MA) pairs — so the table path and the
-/// arena/memo fallback path are both differenced.
+/// `extra` random (generally non-MA) pairs — so prefilled slots and
+/// solved-on-miss slots are both differenced.
 std::vector<mafm::VectorPair> differential_workload(util::Prng& rng,
                                                     std::size_t n,
                                                     int extra) {
@@ -279,8 +278,8 @@ TEST(BusDifferential, DetectorVerdictsIdentical) {
 
 TEST(BusDifferential, StackedDefectsStayIdentical) {
   // Re-difference after every mutation of a growing defect stack: each
-  // bump must invalidate and rebuild the tables (and flush the memo) so
-  // the batched path never serves a stale generation.
+  // bump must flush and refill the store so the batched path never
+  // serves a stale generation.
   BusParams p = params_n(6);
   p.samples = 512;
   CoupledBus batched(p);
@@ -305,9 +304,9 @@ TEST(BusDifferential, StackedDefectsStayIdentical) {
 }
 
 TEST(BusDifferential, CloneServesIdenticalBatches) {
-  // The campaign path: warm a prototype (tables precompiled, memo
-  // populated), clone it, and difference the clone — its carried tables
-  // and fresh arena must serve the same bits as a scalar reference.
+  // The campaign path: warm a prototype (MA set prefilled, other
+  // windows stored), clone it, and difference the clone — its carried
+  // store must serve the same bits as a scalar reference.
   BusParams p = params_n(8);
   p.samples = 512;
   CoupledBus proto(p);
@@ -316,13 +315,12 @@ TEST(BusDifferential, CloneServesIdenticalBatches) {
   util::Prng rng(99);
   const auto pairs = differential_workload(rng, 8, 8);
   for (const mafm::VectorPair& vp : pairs) {
-    proto.transition_batch(vp.v1, vp.v2);  // warm the memo too
+    proto.transition_batch(vp.v1, vp.v2);  // store the non-MA windows too
   }
 
   CoupledBus clone = proto.clone();
   BusParams rp = p;
   CoupledBus ref(rp);
-  ref.set_tables_enabled(false);
   ref.set_cache_enabled(false);
   ref.inject_crosstalk_defect(4, 5.0);
   expect_batch_bit_identical(clone, ref, pairs);

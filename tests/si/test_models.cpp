@@ -84,7 +84,6 @@ TEST(ModelDifferential, CleanBusAcrossWidths) {
       CoupledBus batched(p);
       batched.precompile_tables();
       CoupledBus scalar(p);
-      scalar.set_tables_enabled(false);
       scalar.set_cache_enabled(false);
       expect_batched_equals_scalar(
           batched, scalar,
@@ -100,12 +99,11 @@ TEST(ModelDifferential, StackedDefectsAndClone) {
     CoupledBus batched(p);
     batched.precompile_tables();
     CoupledBus scalar(p);
-    scalar.set_tables_enabled(false);
     scalar.set_cache_enabled(false);
 
     // Stack a crosstalk defect on top of a resistive one; apply the
     // identical mutations to the reference so the electrical state
-    // stays twinned through each table-generation bump.
+    // stays twinned through each store-generation bump.
     for (CoupledBus* b : {&batched, &scalar}) {
       b->add_series_resistance(2, 350.0);
       b->inject_crosstalk_defect(5, 4.0);
