@@ -10,12 +10,12 @@
 
 #include "bsc/netlists.hpp"
 #include "core/bist.hpp"
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "ict/extest_session.hpp"
 #include "obs/hub.hpp"
 #include "obs/metrics_sink.hpp"
 #include "obs/registry.hpp"
+#include "obs/tracer.hpp"
 #include "kernel_throughput.hpp"
 #include "rtl/netlist_sim.hpp"
 #include "sim/scheduler.hpp"
@@ -174,8 +174,9 @@ BENCHMARK(BM_FullSiSession)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullSiSessionObserved(benchmark::State& state) {
-  // BM_FullSiSession with the full obs::Hub attached (per-TCK edge
-  // tracing, metrics folding, ring buffer). Compare against the n=8/32
+  // BM_FullSiSession with the full obs::Hub attached (metrics folding)
+  // plus an obs::Tracer sink (per-TCK edge tracing into its ring
+  // buffer). Compare against the n=8/32
   // cached rows above to price the *enabled* instrumentation; the <2%
   // disabled-path guarantee is asserted by obs_overhead_guard.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -187,6 +188,8 @@ void BM_FullSiSessionObserved(benchmark::State& state) {
     soc.bus().inject_crosstalk_defect(n / 2, 6.0);
     core::SiTestSession session(soc);
     obs::Hub hub;
+    obs::Tracer tracer;
+    hub.add_sink(&tracer);
     session.set_sink(&hub);
     benchmark::DoNotOptimize(
         session.run(core::ObservationMethod::OnceAtEnd));
@@ -218,13 +221,13 @@ BENCHMARK(BM_ParallelVictimSession)
 void BM_MultiBusSession(benchmark::State& state) {
   const std::size_t buses = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    core::MultiBusConfig cfg;
+    core::SocConfig cfg;
     cfg.n_buses = buses;
-    cfg.wires_per_bus = 8;
-    core::MultiBusSoc soc(cfg);
-    core::MultiBusSession session(soc);
+    cfg.n_wires = 8;
+    core::SiSocDevice soc(cfg);
+    core::SiTestSession session(soc);
     benchmark::DoNotOptimize(
-        session.run(core::ObservationMethod::OnceAtEnd));
+        session.run_buses(core::ObservationMethod::OnceAtEnd));
   }
 }
 BENCHMARK(BM_MultiBusSession)->Arg(4)->Unit(benchmark::kMillisecond);
@@ -282,13 +285,13 @@ void collect_session_metrics() {
     session.run(core::ObservationMethod::OnceAtEnd);
   }
   {
-    core::MultiBusConfig cfg;
+    core::SocConfig cfg;
     cfg.n_buses = 2;
-    cfg.wires_per_bus = 8;
-    core::MultiBusSoc soc(cfg);
-    core::MultiBusSession session(soc);
+    cfg.n_wires = 8;
+    core::SiSocDevice soc(cfg);
+    core::SiTestSession session(soc);
     session.set_sink(&sink);
-    session.run(core::ObservationMethod::OnceAtEnd);
+    session.run_buses(core::ObservationMethod::OnceAtEnd);
   }
   {
     ict::BoardNets board(16);

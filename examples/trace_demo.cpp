@@ -1,6 +1,7 @@
 // Observability demo: run G-SITEST + O-SITEST on a defective 8-wire bus
-// with the full obs::Hub attached and export every view the layer
-// offers, all on the same 10 ns-per-TCK timebase:
+// with the full obs::Hub attached, an obs::Tracer recording its stamped
+// stream, and export every view the layer offers, all on the same
+// 10 ns-per-TCK timebase:
 //
 //   trace_demo.trace.json   Chrome trace_event JSON — open in Perfetto
 //                           (ui.perfetto.dev) or chrome://tracing; the
@@ -21,6 +22,7 @@
 
 #include "core/session.hpp"
 #include "obs/hub.hpp"
+#include "obs/tracer.hpp"
 #include "sim/vcd.hpp"
 
 int main() {
@@ -37,17 +39,19 @@ int main() {
   soc.bus().add_series_resistance(5, 900.0);
 
   core::SiTestSession session(soc);
-  obs::Hub hub;  // defaults: 64k-event ring, per-TCK edges on, 10 ns TCK
+  obs::Hub hub;  // 10 ns TCK
+  obs::Tracer tracer;  // defaults: 64k-event ring, per-TCK edges on
+  hub.add_sink(&tracer);
   session.set_sink(&hub);
   const auto report = session.run(core::ObservationMethod::PerPattern);
 
   {
     std::ofstream os("trace_demo.trace.json");
-    hub.tracer().write_chrome_trace(os);
+    tracer.write_chrome_trace(os);
   }
   {
     std::ofstream os("trace_demo.jsonl");
-    hub.tracer().write_jsonl(os);
+    tracer.write_jsonl(os);
   }
   {
     std::ofstream os("trace_demo.metrics.json");
@@ -77,7 +81,7 @@ int main() {
       util::Logic v;
     };
     std::vector<Change> changes;
-    for (const obs::Event& e : hub.tracer().events()) {
+    for (const obs::Event& e : tracer.events()) {
       if (e.kind != obs::EventKind::DetectorFired) continue;
       const auto w = static_cast<std::size_t>(e.a);
       const bool is_sd = std::string(e.name) == "SD";
@@ -89,14 +93,14 @@ int main() {
     std::stable_sort(changes.begin(), changes.end(),
                      [](const Change& a, const Change& b) { return a.t < b.t; });
     for (const Change& c : changes) vcd.change(c.id, c.v, c.t);
-    vcd.timestamp(hub.tracer().last_tck() * hub.tracer().config().tck_period_ps);
+    vcd.timestamp(tracer.last_tck() * tracer.config().tck_period_ps);
   }
 
   std::cout << "Session: " << report.total_tcks << " TCKs ("
             << report.generation_tcks << " generation + "
             << report.observation_tcks << " observation), "
-            << hub.tracer().events().size() << " trace records ("
-            << hub.tracer().dropped() << " dropped).\n";
+            << tracer.events().size() << " trace records ("
+            << tracer.dropped() << " dropped).\n";
   if (first_sd_tck != 0) {
     std::cout << "First skew violation latched at TCK " << first_sd_tck
               << " (t = " << first_sd_tck * 10 << " ns) — find the \"SD\" "

@@ -58,7 +58,7 @@ struct TimeModel {
 
   /// Generation clocks of the parallel multi-bus session over `buses`
   /// equal-width buses (chain 2*B*n+m, select scan B*n bits, shared
-  /// per-victim loop; see core::MultiBusSession).
+  /// per-victim loop; see core::SiTestSession::run_buses).
   std::uint64_t multibus_generation(std::size_t buses) const;
 
   /// One multi-bus read-out (no resume): IR load + ND and SD passes over

@@ -1,6 +1,7 @@
 #include "core/bist.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "jtag/tap_trace.hpp"
 
@@ -68,6 +69,9 @@ void BistProgram::pulse_update_dr() {
 }
 
 BistProgram BistProgram::compile(const SocConfig& cfg) {
+  if (cfg.n_buses != 1) {
+    throw std::invalid_argument("the BIST program needs a one-bus SoC");
+  }
   BistProgram p;
   const std::size_t n = cfg.n_wires;
   const std::size_t m = cfg.m_extra_cells;

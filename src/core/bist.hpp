@@ -31,7 +31,8 @@ class BistProgram {
   };
 
   /// Build the method-1 session program for `cfg` (reset, two preload +
-  /// generate blocks, one ND+SD read-out).
+  /// generate blocks, one ND+SD read-out). One-bus SoCs only (throws
+  /// std::invalid_argument otherwise).
   static BistProgram compile(const SocConfig& cfg);
 
   const std::vector<Step>& steps() const { return steps_; }

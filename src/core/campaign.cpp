@@ -169,21 +169,21 @@ void CampaignRunner::add_bist(std::string name, SocConfig cfg,
           ObservationMethod::OnceAtEnd, 0, std::move(defects));
 }
 
-void CampaignRunner::add_multibus(std::string name, MultiBusConfig cfg,
+void CampaignRunner::add_multibus(std::string name, SocConfig cfg,
                                   ObservationMethod method,
                                   MultiBusSetup defects) {
   CampaignUnit u;
   u.name = std::move(name);
   u.run = [cfg = std::move(cfg), method,
            defects = std::move(defects)](CampaignContext& ctx) {
-    si::CoupledBus proto = model_bus(ctx, effective_bus_params(cfg));
-    MultiBusSoc soc(cfg, proto);
+    si::CoupledBus bus = model_bus(ctx, effective_bus_params(cfg));
+    SiSocDevice soc(cfg, bus);
     if (defects) {
       for (std::size_t b = 0; b < soc.n_buses(); ++b) defects(b, soc.bus(b));
     }
-    MultiBusSession session(soc);
+    SiTestSession session(soc);
     session.set_sink(&ctx.hub());
-    MultiBusReport rep = session.run(method);
+    MultiBusReport rep = session.run_buses(method);
 
     UnitOutcome o;
     o.total_tcks = rep.total_tcks;
@@ -344,6 +344,9 @@ CampaignResult CampaignRunner::run() {
     obs::Hub hub(cfg_.trace);
     hub.set_strict(cfg_.strict_metrics);
     if (live_sink_ != nullptr) hub.add_sink(live_sink_);
+    // Event streams are recorded only when the campaign keeps them.
+    std::optional<obs::Tracer> tracer;
+    if (cfg_.keep_events) hub.add_sink(&tracer.emplace(cfg_.trace));
 
     using tele_clock = std::chrono::steady_clock;
     obs::WorkerProgress* tp = telemetry.worker_slot(worker_id);
@@ -398,6 +401,7 @@ CampaignResult CampaignRunner::run() {
         }
 
         hub.reset();
+        if (tracer) tracer->clear();
         tele_clock::time_point t0{};
         if (tp != nullptr) {
           t0 = tele_clock::now();
@@ -427,7 +431,7 @@ CampaignResult CampaignRunner::run() {
         rec.agg.observation_tcks += out.observation_tcks;
         if (out.violation) ++rec.agg.violations;
         if (out.failed) ++rec.agg.failures;
-        if (cfg_.keep_events) events[i] = hub.tracer().events();
+        if (tracer) events[i] = tracer->events();
         if (tp != nullptr) {
           const tele_clock::time_point t1 = tele_clock::now();
           obs::UnitDelta d;

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/multibus.hpp"
 #include "core/report.hpp"
 #include "core/soc.hpp"
 #include "obs/hub.hpp"
@@ -36,7 +35,7 @@ struct UnitOutcome {
 
 /// Per-worker execution context handed to a running unit. The hub is the
 /// worker's thread-local observer (reset before every unit, so a unit's
-/// metrics/trace are identical no matter which worker runs it); the bus
+/// metrics/events are identical no matter which worker runs it); the bus
 /// factory seeds units from the campaign's warmed prototype.
 class CampaignContext {
  public:
@@ -45,8 +44,8 @@ class CampaignContext {
       : hub_(&hub), worker_(worker), unit_(unit), prototype_(prototype) {}
 
   /// The worker's thread-local observer. Attach it as the session sink;
-  /// its registry and trace are snapshotted into the merged result when
-  /// the unit returns.
+  /// its registry (and, with keep_events, its event stream) is
+  /// snapshotted into the merged result when the unit returns.
   obs::Hub& hub() { return *hub_; }
 
   /// Index of the worker thread running this unit (0 when single-shard).
@@ -158,7 +157,9 @@ struct CampaignConfig {
   /// Per-worker hubs run the MetricsSink strict cross-check (a TCK
   /// accounting mismatch throws inside the unit and marks it failed).
   bool strict_metrics = true;
-  /// Tracer settings of every worker hub.
+  /// Trace settings: every worker hub stamps `time_ps` with
+  /// `tck_period_ps`, and a keep_events campaign records each unit
+  /// through a per-worker obs::Tracer built from the rest.
   obs::TracerConfig trace{};
   /// Keep each unit's stamped event stream in the result (memory-heavy;
   /// determinism tests turn it on, production campaigns usually don't).
@@ -320,8 +321,10 @@ class CampaignRunner {
                     std::size_t guard, BusSetup defects = {});
   void add_conventional(std::string name, SocConfig cfg,
                         ObservationMethod method, BusSetup defects = {});
-  void add_multibus(std::string name, MultiBusConfig cfg,
-                    ObservationMethod method, MultiBusSetup defects = {});
+  /// All buses of a `cfg.n_buses`-bus SoC tested at once
+  /// (SiTestSession::run_buses); `defects` runs once per bus.
+  void add_multibus(std::string name, SocConfig cfg, ObservationMethod method,
+                    MultiBusSetup defects = {});
   void add_bist(std::string name, SocConfig cfg, BusSetup defects = {});
 
   std::size_t size() const {

@@ -131,10 +131,15 @@ TestPlan make_header(std::size_t buses, std::size_t n, std::size_t m,
 
 TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
                                std::size_t ir_width,
-                               ObservationMethod method) {
-  TestPlan plan = make_header(1, n, m, ir_width, method);
-  const std::size_t len = plan.chain_length;
+                               ObservationMethod method, std::size_t buses) {
   const bool per_pattern = method == ObservationMethod::PerPattern;
+  if (per_pattern && buses != 1) {
+    throw std::invalid_argument(
+        "per-pattern read-out is a single-bus feature; the multi-bus "
+        "session supports methods 1 and 2");
+  }
+  TestPlan plan = make_header(buses, n, m, ir_width, method);
+  const std::size_t len = plan.chain_length;
   auto& ops = plan.ops;
 
   ops.push_back(reset_op());
@@ -143,9 +148,14 @@ TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
     ops.push_back(scan_dr_op(BitVec(len, block != 0)));
     ops.push_back(load_ir_op(SiSocDevice::kGSitest));
 
-    // Victim-select scan: lands the one-hot on wire 0 and its trailing
-    // Update-DR fires the first pattern.
-    ops.push_back(recorded_scan(BitVec::one_hot(n, n - 1), 0, block, false));
+    // Victim-select scan over the sending region: lands one hot bit on
+    // wire 0 of every bus block, and its trailing Update-DR fires the
+    // first pattern.
+    BitVec select(buses * n, false);
+    for (std::size_t b = 0; b < buses; ++b) {
+      select.set(buses * n - 1 - b * n, true);
+    }
+    ops.push_back(recorded_scan(std::move(select), 0, block, false));
     if (per_pattern) ops.push_back(readout_op(0, /*resume_gen=*/true, block));
 
     for (std::size_t v = 0; v < n; ++v) {
@@ -249,48 +259,6 @@ TestPlan plan_conventional_session(std::size_t n, std::size_t m,
   }
   if (method == ObservationMethod::OnceAtEnd) {
     ops.push_back(readout_op(TapOp::kNoVictim, false, 0));
-  }
-  return plan;
-}
-
-TestPlan plan_multibus_session(std::size_t buses, std::size_t wires_per_bus,
-                               std::size_t m, std::size_t ir_width,
-                               ObservationMethod method) {
-  if (method == ObservationMethod::PerPattern) {
-    throw std::invalid_argument(
-        "per-pattern read-out is provided by the single-bus SiTestSession; "
-        "the parallel session supports methods 1 and 2");
-  }
-  const std::size_t n = wires_per_bus;
-  TestPlan plan = make_header(buses, n, m, ir_width, method);
-  const std::size_t len = plan.chain_length;
-  auto& ops = plan.ops;
-
-  ops.push_back(reset_op());
-  for (int block = 0; block < 2; ++block) {
-    ops.push_back(load_ir_op(SiSocDevice::kSample));
-    ops.push_back(scan_dr_op(BitVec(len, block != 0)));
-    ops.push_back(load_ir_op(SiSocDevice::kGSitest));
-
-    // Victim-select scan over the PGBSC region: one hot bit per bus block
-    // at block-relative position 0.
-    BitVec select(buses * n, false);
-    for (std::size_t b = 0; b < buses; ++b) {
-      select.set(buses * n - 1 - b * n, true);
-    }
-    ops.push_back(recorded_scan(std::move(select), 0, block, false));
-
-    for (std::size_t v = 0; v < n; ++v) {
-      for (int i = 0; i < 3; ++i) ops.push_back(recorded_update(v, block));
-      const std::size_t next_victim = v + 1 < n ? v + 1 : TapOp::kNoVictim;
-      ops.push_back(recorded_scan(BitVec(1, false), next_victim, block, true));
-    }
-    if (method == ObservationMethod::PerInitValue) {
-      ops.push_back(readout_op(TapOp::kNoVictim, false, block));
-    }
-  }
-  if (method == ObservationMethod::OnceAtEnd) {
-    ops.push_back(readout_op(TapOp::kNoVictim, false, 1));
   }
   return plan;
 }

@@ -98,10 +98,15 @@ PlanCost dry_run_cost(const TestPlan& plan);
 
 /// Enhanced-architecture flow (paper Fig 12): two initial-value blocks of
 /// SAMPLE preload + G-SITEST + victim-select scan + per-victim
-/// 3-updates-and-rotate, with method-dependent O-SITEST read-outs.
+/// 3-updates-and-rotate, with method-dependent O-SITEST read-outs. On a
+/// SoC of `buses` equal-width buses the select scan places one hot bit in
+/// every bus's PGBSC block, so the shared rotate loop tests all buses at
+/// once and one read-out pair covers every OBSC; per-pattern read-out
+/// (method 3) needs `buses == 1` (throws std::invalid_argument).
 TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
                                std::size_t ir_width,
-                               ObservationMethod method);
+                               ObservationMethod method,
+                               std::size_t buses = 1);
 
 /// Parallel multi-victim extension: multi-hot select, `guard` rounds per
 /// block instead of n victims. Methods 1 and 2 only.
@@ -114,13 +119,6 @@ TestPlan plan_parallel_victims(std::size_t n, std::size_t m,
 TestPlan plan_conventional_session(std::size_t n, std::size_t m,
                                    std::size_t ir_width,
                                    ObservationMethod method);
-
-/// Parallel multi-bus flow: one hot bit per bus block in the select scan,
-/// shared rotate loop, one read-out pair covering every OBSC. Methods 1
-/// and 2 only.
-TestPlan plan_multibus_session(std::size_t buses, std::size_t wires_per_bus,
-                               std::size_t m, std::size_t ir_width,
-                               ObservationMethod method);
 
 }  // namespace jsi::core
 

@@ -2,6 +2,7 @@
 #define JSI_CORE_SESSION_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "core/plan.hpp"
 #include "core/report.hpp"
@@ -9,6 +10,16 @@
 #include "jtag/master.hpp"
 
 namespace jsi::core {
+
+/// Per-bus outcome of a multi-bus session (SiTestSession::run_buses).
+struct MultiBusReport {
+  std::vector<IntegrityReport> buses;  ///< per-bus patterns/flags
+  std::uint64_t total_tcks = 0;
+  std::uint64_t generation_tcks = 0;
+  std::uint64_t observation_tcks = 0;
+
+  bool any_violation() const;
+};
 
 /// The enhanced-architecture test session (paper Fig 12):
 ///
@@ -39,8 +50,18 @@ class SiTestSession {
   SiTestSession(SiSocDevice& soc, jtag::TapPort& port);
 
   /// Run the full session and return the report. Resets the TAP first, so
-  /// back-to-back runs are independent.
+  /// back-to-back runs are independent. Needs a one-bus SoC (throws
+  /// std::invalid_argument otherwise; see run_buses).
   IntegrityReport run(ObservationMethod method);
+
+  /// The same Fig 12 flow over every bus of the SoC at once: one preload,
+  /// one G-SITEST, one victim-select scan placing a hot bit in every
+  /// bus's PGBSC block, then the shared 3-updates-plus-rotate loop, so
+  /// pattern application costs what a single bus costs and only the scans
+  /// grow with the chain. One O-SITEST pass pair reads every OBSC.
+  /// Methods 1 and 2 on a multi-bus SoC (per-pattern read-out throws
+  /// std::invalid_argument); session name "multibus".
+  MultiBusReport run_buses(ObservationMethod method);
 
   /// Parallel multi-victim extension: victims spaced `guard` wires apart
   /// are selected together (the PGBSC victim-select word is multi-hot),
@@ -50,11 +71,12 @@ class SiTestSession {
   /// mafm::parallel_victim_rounds). Supports observation methods 1 and 2;
   /// per-pattern read-out remains a single-victim feature. Recorded
   /// patterns carry victim == n (use mafm::classify_neighborhood on
-  /// before/after for per-victim analysis).
+  /// before/after for per-victim analysis). Single-bus SoCs only.
   IntegrityReport run_parallel(ObservationMethod method, std::size_t guard);
 
-  /// The plan `run(method)` executes (dry-run it with core::dry_run_cost
-  /// for the exact TCK budget without touching the simulator).
+  /// The plan `run(method)` / `run_buses(method)` executes, covering every
+  /// bus of the SoC (dry-run it with core::dry_run_cost for the exact TCK
+  /// budget without touching the simulator).
   TestPlan plan(ObservationMethod method) const;
 
   /// The plan `run_parallel(method, guard)` executes.
@@ -66,12 +88,11 @@ class SiTestSession {
   /// Attach an observability sink to the whole session: the TAP master
   /// (StateEdge per TCK), the SoC model (bus/detector records), the
   /// engine (plan/op spans), and the session itself (SessionBegin/End,
-  /// name "enhanced" or "parallel"). nullptr detaches everything.
+  /// name "enhanced", "parallel" or "multibus"). nullptr detaches
+  /// everything.
   void set_sink(obs::Sink* sink);
 
  private:
-  IntegrityReport execute(const TestPlan& p, const char* kind);
-
   SiSocDevice* soc_;
   jtag::TapMaster master_;
   obs::Sink* sink_ = nullptr;
@@ -82,6 +103,7 @@ class SiTestSession {
 /// with Update-DR. Works on a SoC built with `SocConfig::enhanced ==
 /// false` (standard cells on the sending side). Observation uses the same
 /// O-SITEST read-out so only the pattern-application cost differs.
+/// Single-bus SoCs only.
 class ConventionalSession {
  public:
   explicit ConventionalSession(SiSocDevice& soc);

@@ -1,6 +1,7 @@
 #include "core/soc.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "si/model.hpp"
 
@@ -22,7 +23,8 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus& bus)
     : SiSocDevice(std::move(cfg), &bus) {}
 
 SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
-    : cfg_(std::move(cfg)), pins_(cfg_.n_wires, false) {
+    : cfg_(std::move(cfg)) {
+  if (cfg_.n_buses == 0) throw std::invalid_argument("need >= 1 bus");
   if (cfg_.n_wires < 2) throw std::invalid_argument("need >= 2 interconnects");
   if (external != nullptr) {
     si::require_width(*external, cfg_.n_wires);
@@ -41,6 +43,15 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
       si::model_for(cfg_.bus.model).observed_swing(cfg_.bus);
   cfg_.nd.vdd = observed;
   cfg_.sd.vdd = observed;
+  // Buses 1..B-1 are clones of bus 0 taken before any per-bus defect is
+  // injected: same width and electrics, and a warm bus 0 hands its
+  // waveform store to every other bus.
+  clones_.reserve(cfg_.n_buses - 1);
+  for (std::size_t b = 1; b < cfg_.n_buses; ++b) {
+    clones_.push_back(bus_->clone());
+  }
+  pins_.assign(cfg_.n_buses, BitVec(cfg_.n_wires, false));
+  const std::size_t cells = cfg_.n_buses * cfg_.n_wires;
 
   tap_ = std::make_unique<jtag::TapDevice>("si_soc", cfg_.ir_width);
   tap_->add_idcode(cfg_.idcode, 0b0010);
@@ -49,7 +60,7 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
       [this] { return ctl_; });
   boundary_ = boundary.get();
 
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
+  for (std::size_t i = 0; i < cells; ++i) {
     if (cfg_.enhanced) {
       auto cell = std::make_unique<bsc::Pgbsc>();
       pgbscs_.push_back(cell.get());
@@ -60,7 +71,7 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
       boundary_->add_cell(std::move(cell));
     }
   }
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
+  for (std::size_t i = 0; i < cells; ++i) {
     auto cell = std::make_unique<bsc::Obsc>(cfg_.nd, cfg_.sd);
     obscs_.push_back(cell.get());
     boundary_->add_cell(std::move(cell));
@@ -90,22 +101,26 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
     apply_bus(/*observe=*/false);
   });
 
-  core_out_.assign(cfg_.n_wires, Logic::L0);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
+  core_out_.assign(cells, Logic::L0);
+  for (std::size_t i = 0; i < cells; ++i) {
     boundary_->cell(i).set_parallel_in(Logic::L0);
   }
   decode_instruction(tap_->current_instruction());
 }
 
 std::size_t SiSocDevice::chain_length() const {
-  return 2 * cfg_.n_wires + cfg_.m_extra_cells;
+  return 2 * cfg_.n_buses * cfg_.n_wires + cfg_.m_extra_cells;
 }
 
 void SiSocDevice::set_sink(obs::Sink* sink) {
   sink_ = sink;
-  bus_->set_sink(sink);
+  const std::size_t n = cfg_.n_wires;
+  for (std::size_t b = 0; b < cfg_.n_buses; ++b) bus(b).set_sink(sink);
   for (std::size_t i = 0; i < obscs_.size(); ++i) {
-    obscs_[i]->set_sink(sink, static_cast<std::int64_t>(i));
+    // A one-bus device keeps the bus-less detector id (b = -1).
+    obscs_[i]->set_sink(sink, static_cast<std::int64_t>(i % n),
+                        cfg_.n_buses == 1 ? -1
+                                          : static_cast<std::int64_t>(i / n));
   }
 }
 
@@ -123,22 +138,24 @@ void SiSocDevice::set_core_output(std::size_t i, Logic v) {
 }
 
 Logic SiSocDevice::core_input(std::size_t i) const {
-  if (i >= cfg_.n_wires) throw std::out_of_range("bad wire");
-  return boundary_->cell(cfg_.n_wires + i).parallel_out(ctl_);
+  if (i >= obscs_.size()) throw std::out_of_range("bad wire");
+  return boundary_->cell(obscs_.size() + i).parallel_out(ctl_);
 }
 
-BitVec SiSocDevice::nd_flags() const {
+BitVec SiSocDevice::nd_flags(std::size_t b) const {
+  if (b >= cfg_.n_buses) throw std::out_of_range("bad bus");
   BitVec v(cfg_.n_wires, false);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    v.set(i, obscs_[i]->nd().flag());
+  for (std::size_t w = 0; w < cfg_.n_wires; ++w) {
+    v.set(w, obscs_[b * cfg_.n_wires + w]->nd().flag());
   }
   return v;
 }
 
-BitVec SiSocDevice::sd_flags() const {
+BitVec SiSocDevice::sd_flags(std::size_t b) const {
+  if (b >= cfg_.n_buses) throw std::out_of_range("bad bus");
   BitVec v(cfg_.n_wires, false);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    v.set(i, obscs_[i]->sd().flag());
+  for (std::size_t w = 0; w < cfg_.n_wires; ++w) {
+    v.set(w, obscs_[b * cfg_.n_wires + w]->sd().flag());
   }
   return v;
 }
@@ -184,55 +201,58 @@ void SiSocDevice::on_update_dr() {
 }
 
 void SiSocDevice::apply_bus(bool observe) {
+  const std::size_t n = cfg_.n_wires;
   if (highz_) {
     // HIGHZ: all bus drivers float; the receivers see high impedance
     // until another instruction re-drives the wires.
-    for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-      obscs_[i]->set_parallel_in(Logic::Z);
-    }
+    for (bsc::Obsc* cell : obscs_) cell->set_parallel_in(Logic::Z);
     pins_valid_ = false;
     return;
   }
-  // Compute the vector the sending side currently drives.
-  BitVec next(cfg_.n_wires, false);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    next.set(i, util::to_bool(boundary_->cell(i).parallel_out(ctl_)));
-  }
-  if (pins_valid_ && next == pins_) return;
-
-  if (!pins_valid_) {
-    // First drive after reset: establish levels without a transition.
-    pins_ = next;
-    pins_valid_ = true;
-    for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-      obscs_[i]->set_parallel_in(util::to_logic(next[i]));
+  // First drive after reset: establish levels without a transition.
+  const bool settle = !pins_valid_;
+  pins_valid_ = true;
+  for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
+    bsc::Obsc* const* obsc = obscs_.data() + b * n;
+    // Compute the vector bus b's sending cells currently drive.
+    BitVec next(n, false);
+    for (std::size_t i = 0; i < n; ++i) {
+      next.set(i, util::to_bool(boundary_->cell(b * n + i).parallel_out(ctl_)));
     }
-    return;
-  }
+    if (settle) {
+      for (std::size_t i = 0; i < n; ++i) {
+        obsc[i]->set_parallel_in(util::to_logic(next[i]));
+      }
+      pins_[b] = std::move(next);
+      continue;
+    }
+    if (next == pins_[b]) continue;
 
-  const BitVec prev = pins_;
-  pins_ = next;
-  ++bus_transitions_;
-  if (sink_) {
-    obs::Event e;
-    e.kind = obs::EventKind::BusTransition;
-    e.tck = tap_->tck_count();
-    e.name = "bus";
-    e.a = 0;
-    e.value = bus_transitions_;
-    sink_->on_event(e);
-  }
-  // One batched lookup for the whole bus: every wire is served from the
-  // bus's waveform store (MA windows prefilled, others solved on a miss)
-  // and the sensors scan zero-copy views.
-  const si::TransitionBatch batch = bus_->transition_batch(prev, next);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    const si::WaveformView w = batch.wire(i);
-    if (observe) {
-      obscs_[i]->observe(w, util::to_logic(prev[i]), util::to_logic(next[i]),
+    const BitVec prev = std::exchange(pins_[b], std::move(next));
+    const BitVec& cur = pins_[b];
+    ++bus_transitions_;
+    if (sink_) {
+      obs::Event e;
+      e.kind = obs::EventKind::BusTransition;
+      e.tck = tap_->tck_count();
+      e.name = "bus";
+      e.a = static_cast<std::int64_t>(b);
+      e.value = bus_transitions_;
+      sink_->on_event(e);
+    }
+    // One batched lookup for the whole bus: every wire is served from the
+    // bus's waveform store (MA windows prefilled, others solved on a miss)
+    // and the sensors scan zero-copy views.
+    si::CoupledBus& wires = bus(b);
+    const si::TransitionBatch batch = wires.transition_batch(prev, cur);
+    for (std::size_t i = 0; i < n; ++i) {
+      const si::WaveformView w = batch.wire(i);
+      if (observe) {
+        obsc[i]->observe(w, util::to_logic(prev[i]), util::to_logic(cur[i]),
                          ctl_);
+      }
+      obsc[i]->set_parallel_in(wires.settled_logic(w));
     }
-    obscs_[i]->set_parallel_in(bus_->settled_logic(w));
   }
 }
 

@@ -16,16 +16,18 @@
 
 namespace jsi::core {
 
-/// Configuration of the two-core SoC model (paper Fig 11).
+/// Configuration of the two-core SoC model (paper Fig 11), optionally
+/// with several equal-width core-to-core buses behind the one TAP.
 struct SocConfig {
-  std::size_t n_wires = 8;        ///< interconnects under test between cores
+  std::size_t n_wires = 8;        ///< interconnects under test per bus
+  std::size_t n_buses = 1;        ///< equal-width buses sharing the TAP
   std::size_t m_extra_cells = 1;  ///< other (standard) cells in the chain
   bool enhanced = true;  ///< true: PGBSC/OBSC architecture; false: the
                          ///< conventional-BSA baseline (standard cells on
                          ///< the sending side, used for Table 5)
   std::size_t ir_width = 4;
   std::uint32_t idcode = 0x0A571001u;  ///< arbitrary but fixed device id
-  si::BusParams bus{};                 ///< n_wires is overridden by `n_wires`
+  si::BusParams bus{};  ///< per-bus template; width overridden by `n_wires`
   si::NdParams nd{};
   si::SdParams sd{};
 };
@@ -39,13 +41,20 @@ si::BusParams effective_bus_params(const SocConfig& cfg);
 
 /// The paper's test architecture: Core i drives `n` interconnects through
 /// sending-side boundary cells, Core j receives them through observation
-/// cells, and a single IEEE 1149.1 TAP serves the whole chip.
+/// cells, and a single IEEE 1149.1 TAP serves the whole chip. A SoC-scale
+/// device carries B = `n_buses` such buses (the paper's Fig 11 shows one;
+/// a real SoC screens many core-to-core buses under one TAP).
 ///
-/// Boundary-register order (cell 0 nearest TDI):
-///   [0, n)        sending cells (PGBSC, or StandardBsc when
-///                 `enhanced == false`)
-///   [n, 2n)       receiving cells (OBSC)
-///   [2n, 2n+m)    other standard cells
+/// Boundary-register order (cell 0 nearest TDI), bus-major within each
+/// region, so flat cell index b*n+w is wire w of bus b:
+///   [0, Bn)        sending cells (PGBSC, or StandardBsc when
+///                  `enhanced == false`)
+///   [Bn, 2Bn)      receiving cells (OBSC)
+///   [2Bn, 2Bn+m)   other standard cells
+/// Keeping all sending cells contiguous makes the one-bit victim-rotate
+/// scan work across buses: with one hot bit per bus block, a single shift
+/// advances the victim of every bus at once, so B buses are tested for
+/// (almost) the cost of one.
 ///
 /// Instruction set (4-bit IR by default):
 ///   EXTEST 0000, SAMPLE/PRELOAD 0001, IDCODE 0010,
@@ -61,10 +70,10 @@ si::BusParams effective_bus_params(const SocConfig& cfg);
 /// Update-DR so consecutive shift passes read ND then SD.
 ///
 /// Every Update-DR (and instruction change, and functional core-output
-/// change) re-evaluates the driven pin vector; when it changes, the
-/// coupled-bus model produces per-wire receiving-end waveforms which are
-/// fed to the OBSC sensors and settle into the receiving cells' parallel
-/// inputs.
+/// change) re-evaluates each bus's driven pin vector; when one changes,
+/// that bus's coupled-bus model produces per-wire receiving-end waveforms
+/// which are fed to the OBSC sensors and settle into the receiving cells'
+/// parallel inputs.
 class SiSocDevice {
  public:
   explicit SiSocDevice(SocConfig cfg);
@@ -74,8 +83,10 @@ class SiSocDevice {
   /// worker owns a warmed si::CoupledBus clone and hands it to one
   /// short-lived device per work unit. `bus.n()` must equal
   /// `cfg.n_wires` (throws std::invalid_argument otherwise); the device
-  /// does not take ownership and `bus` must outlive it. Detector
-  /// supplies and `config().bus` follow the external bus's parameters.
+  /// borrows it as bus 0 (no ownership; `bus` must outlive the device)
+  /// and owns clones of it as buses 1..B-1, taken here — warm store and
+  /// counters carried over, sink not. Detector supplies and
+  /// `config().bus` follow the external bus's parameters.
   SiSocDevice(SocConfig cfg, si::CoupledBus& bus);
 
   // Non-copyable: the TAP holds callbacks into this object.
@@ -87,38 +98,48 @@ class SiSocDevice {
   /// The 1149.1 test logic (clock it directly or via a TapMaster).
   jtag::TapDevice& tap() { return *tap_; }
 
-  /// The interconnect model (inject defects here).
-  si::CoupledBus& bus() { return *bus_; }
-  const si::CoupledBus& bus() const { return *bus_; }
+  std::size_t n_buses() const { return cfg_.n_buses; }
 
-  /// Total boundary-register length 2n+m.
+  /// The interconnect model of bus `b` (inject defects here).
+  si::CoupledBus& bus(std::size_t b = 0) {
+    return b == 0 ? *bus_ : clones_.at(b - 1);
+  }
+  const si::CoupledBus& bus(std::size_t b = 0) const {
+    return b == 0 ? *bus_ : clones_.at(b - 1);
+  }
+
+  /// Total boundary-register length 2Bn+m.
   std::size_t chain_length() const;
 
-  /// Sending-side cell for wire `i` (only when `enhanced`).
+  /// Sending-side cell at flat index `i` = b*n+w (only when `enhanced`).
   bsc::Pgbsc& pgbsc(std::size_t i);
-  /// Receiving-side cell for wire `i`.
+  /// Receiving-side cell at flat index `i` = b*n+w.
   bsc::Obsc& obsc(std::size_t i);
 
   /// Current control-signal decode (Tables 1/3 inputs).
   const jtag::CellCtl& controls() const { return ctl_; }
 
-  /// Functional value Core i drives on wire `i` (visible on the bus when
-  /// Mode=0).
+  /// Functional value Core i drives on flat wire `i` = b*n+w (visible on
+  /// the bus when Mode=0).
   void set_core_output(std::size_t i, util::Logic v);
 
-  /// Value Core j receives on wire `i` (through the OBSC).
+  /// Value Core j receives on flat wire `i` = b*n+w (through the OBSC).
   util::Logic core_input(std::size_t i) const;
 
-  /// Currently driven pin vector (X-free once anything drove the bus).
-  const util::BitVec& driven_pins() const { return pins_; }
+  /// Pin vector currently driven on bus `b` (X-free once anything drove
+  /// the bus).
+  const util::BitVec& driven_pins(std::size_t b = 0) const {
+    return pins_.at(b);
+  }
 
-  /// Number of bus transitions simulated (each ran the coupled-RC solver).
+  /// Number of per-bus transitions simulated since the last TAP reset,
+  /// summed over all buses (each ran the coupled-bus solver).
   std::uint64_t bus_transitions() const { return bus_transitions_; }
 
-  /// Sticky sensor flags as bit vectors (bit i = wire i) — the ground
-  /// truth the scan-out is checked against in tests.
-  util::BitVec nd_flags() const;
-  util::BitVec sd_flags() const;
+  /// Sticky sensor flags of bus `b` as bit vectors (bit w = wire w) — the
+  /// ground truth the scan-out is checked against in tests.
+  util::BitVec nd_flags(std::size_t b = 0) const;
+  util::BitVec sd_flags(std::size_t b = 0) const;
 
   // Instruction names.
   static constexpr const char* kExtest = "EXTEST";
@@ -131,10 +152,11 @@ class SiSocDevice {
   /// True while HIGHZ floats the bus drivers (receivers read Z).
   bool bus_released() const { return highz_; }
 
-  /// Attach an observability sink to the whole device model: the bus
-  /// (CacheLookup), every OBSC (DetectorFired, a=wire) and the SoC itself
-  /// (BusTransition per simulated transition, stamped with the device's
-  /// TCK count). nullptr detaches everything.
+  /// Attach an observability sink to the whole device model: every bus
+  /// (CacheLookup), every OBSC (DetectorFired, a=wire, b=bus — or -1 on a
+  /// one-bus device) and the SoC itself (BusTransition per simulated
+  /// transition, a=bus, stamped with the device's TCK count). nullptr
+  /// detaches everything.
   void set_sink(obs::Sink* sink);
 
  private:
@@ -146,8 +168,9 @@ class SiSocDevice {
   bool boundary_selected() const;
 
   SocConfig cfg_;
-  std::unique_ptr<si::CoupledBus> owned_bus_;  // null when bus is external
-  si::CoupledBus* bus_ = nullptr;
+  std::unique_ptr<si::CoupledBus> owned_bus_;  // null when bus 0 is external
+  si::CoupledBus* bus_ = nullptr;              // bus 0
+  std::vector<si::CoupledBus> clones_;         // buses 1..B-1
   std::unique_ptr<jtag::TapDevice> tap_;
   jtag::BoundaryRegister* boundary_ = nullptr;  // owned by tap_
   std::vector<bsc::Pgbsc*> pgbscs_;
@@ -155,7 +178,7 @@ class SiSocDevice {
   std::vector<bsc::Obsc*> obscs_;
   jtag::CellCtl ctl_{};
   std::vector<util::Logic> core_out_;
-  util::BitVec pins_;
+  std::vector<util::BitVec> pins_;  // per bus
   bool pins_valid_ = false;
   bool highz_ = false;
   std::uint64_t bus_transitions_ = 0;

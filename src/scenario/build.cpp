@@ -73,10 +73,7 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
       !spec.campaign.warm_prototype) {
     return nullptr;
   }
-  const si::BusParams bp =
-      spec.topology.kind == TopologyKind::Soc
-          ? core::effective_bus_params(soc_config(spec))
-          : core::effective_bus_params(multibus_config(spec));
+  const si::BusParams bp = core::effective_bus_params(soc_config(spec));
   auto proto = std::make_unique<si::CoupledBus>(bp);
   // One canonical warming transition (all-zero -> even wires high):
   // every unit's clone starts from this memoized state, independent of
@@ -92,23 +89,12 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
 }  // namespace
 
 core::SocConfig soc_config(const ScenarioSpec& spec) {
-  if (spec.topology.kind != TopologyKind::Soc) wrong_topology(spec, "soc");
+  if (spec.topology.kind == TopologyKind::Board) wrong_topology(spec, "soc");
   core::SocConfig c;
-  c.n_wires = spec.topology.n_wires;
-  c.m_extra_cells = spec.topology.m_extra_cells;
-  c.ir_width = spec.topology.ir_width;
-  c.idcode = spec.topology.idcode;
-  c.bus = spec.topology.bus;
-  return c;
-}
-
-core::MultiBusConfig multibus_config(const ScenarioSpec& spec) {
-  if (spec.topology.kind != TopologyKind::MultiBusSoc) {
-    wrong_topology(spec, "multibus_soc");
+  c.n_wires = spec.width();
+  if (spec.topology.kind == TopologyKind::MultiBusSoc) {
+    c.n_buses = spec.topology.n_buses;
   }
-  core::MultiBusConfig c;
-  c.n_buses = spec.topology.n_buses;
-  c.wires_per_bus = spec.topology.wires_per_bus;
   c.m_extra_cells = spec.topology.m_extra_cells;
   c.ir_width = spec.topology.ir_width;
   c.idcode = spec.topology.idcode;
@@ -276,7 +262,7 @@ ScenarioCampaign build_campaign(const ScenarioSpec& spec,
                             bus_setup(std::move(defs)));
         break;
       case SessionKind::MultiBus:
-        sc.runner_.add_multibus(name, multibus_config(spec),
+        sc.runner_.add_multibus(name, soc_config(spec),
                                 observation_method(s),
                                 multibus_setup(std::move(defs)));
         break;

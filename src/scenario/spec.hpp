@@ -108,7 +108,7 @@ enum class SessionKind {
   Enhanced,      ///< SiTestSession::run (PGBSC/OBSC, paper Fig 12)
   Conventional,  ///< ConventionalSession::run (Table 5 baseline)
   Parallel,      ///< SiTestSession::run_parallel (multi-victim)
-  MultiBus,      ///< MultiBusSession::run (all buses at once)
+  MultiBus,      ///< SiTestSession::run_buses (all buses at once)
   Bist,          ///< SiBistController::run (autonomous microcode)
   Extest,        ///< ict::ExtestInterconnectSession::run (board nets)
 };
@@ -144,7 +144,9 @@ struct CampaignSpec {
   bool warm_prototype = true;   ///< pre-warm the shared prototype bus cache
 };
 
-/// Observability settings of every worker hub (mirrors obs::TracerConfig).
+/// Observability settings (mirrors obs::TracerConfig): every worker hub
+/// stamps time with `tck_period_ps`; the other fields shape the per-unit
+/// trace a `keep_events` campaign records.
 struct ObsSpec {
   std::size_t trace_capacity = 1 << 16;
   bool tap_edges = true;

@@ -171,17 +171,17 @@ TEST(Campaign, MultiBusPrototypeValidatesWidth) {
   p.n_wires = 4;
   si::CoupledBus proto(p);
 
-  core::MultiBusConfig cfg;
+  core::SocConfig cfg;
   cfg.n_buses = 2;
-  cfg.wires_per_bus = 6;  // != proto.n()
-  EXPECT_THROW(core::MultiBusSoc(cfg, proto), std::invalid_argument);
+  cfg.n_wires = 6;  // != proto.n()
+  EXPECT_THROW(core::SiSocDevice(cfg, proto), std::invalid_argument);
 
-  cfg.wires_per_bus = 4;
+  cfg.n_wires = 4;
   util::BitVec prev(4);
   util::BitVec next(4);
   next.set(0, true);
   proto.transition(prev, next);
-  core::MultiBusSoc soc(cfg, proto);
+  core::SiSocDevice soc(cfg, proto);
   for (std::size_t b = 0; b < soc.n_buses(); ++b) {
     EXPECT_EQ(soc.bus(b).cache_entries(), proto.cache_entries())
         << "bus " << b << " must start from the warmed prototype";

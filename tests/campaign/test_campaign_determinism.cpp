@@ -86,9 +86,8 @@ CampaignRunner make_mixed_campaign(std::size_t shards,
                       3);
   runner.add_conventional("conventional", soc_cfg(4, /*enhanced=*/false),
                           ObservationMethod::OnceAtEnd);
-  core::MultiBusConfig mb;
+  core::SocConfig mb = soc_cfg(4);
   mb.n_buses = 2;
-  mb.wires_per_bus = 4;
   runner.add_multibus("multibus", mb, ObservationMethod::OnceAtEnd);
   runner.add_multibus("multibus-defect", mb, ObservationMethod::PerInitValue,
                       [](std::size_t b, si::CoupledBus& bus) {
@@ -182,9 +181,8 @@ TEST(CampaignDeterminism, BooksAgreeAtCampaignScale) {
   runner.add_parallel("p6", soc_cfg(6), ObservationMethod::PerInitValue, 3);
   runner.add_conventional("c4", soc_cfg(4, false),
                           ObservationMethod::OnceAtEnd);
-  core::MultiBusConfig mb;
+  core::SocConfig mb = soc_cfg(4);
   mb.n_buses = 2;
-  mb.wires_per_bus = 4;
   runner.add_multibus("mb", mb, ObservationMethod::OnceAtEnd);
 
   // Re-derive every plan the campaign will execute and dry-run it.
@@ -217,8 +215,8 @@ TEST(CampaignDeterminism, BooksAgreeAtCampaignScale) {
     want.observation_tcks += c.observation_tcks;
   }
   {
-    core::MultiBusSoc soc(mb);
-    core::MultiBusSession s(soc);
+    core::SiSocDevice soc(mb);
+    core::SiTestSession s(soc);
     const core::PlanCost c =
         core::dry_run_cost(s.plan(ObservationMethod::OnceAtEnd));
     want.total_tcks += c.total_tcks;

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "analysis/time_model.hpp"
-#include "core/multibus.hpp"
 #include "core/plan.hpp"
 #include "core/session.hpp"
 
@@ -174,15 +173,15 @@ TEST(EngineParity, MultiBusSession) {
        {"000000", "001110", "000000"}},
   };
   for (const auto& g : goldens) {
-    MultiBusConfig cfg;
+    SocConfig cfg;
     cfg.n_buses = 3;
-    cfg.wires_per_bus = 6;
+    cfg.n_wires = 6;
     cfg.m_extra_cells = 1;
-    MultiBusSoc soc(cfg);
+    SiSocDevice soc(cfg);
     soc.bus(1).inject_crosstalk_defect(2, 6.0);
-    MultiBusSession session(soc);
+    SiTestSession session(soc);
     SCOPED_TRACE(static_cast<int>(g.method));
-    const MultiBusReport r = session.run(g.method);
+    const MultiBusReport r = session.run_buses(g.method);
     EXPECT_EQ(r.total_tcks, g.total);
     EXPECT_EQ(r.generation_tcks, g.generation);
     EXPECT_EQ(r.observation_tcks, g.observation);
@@ -278,19 +277,18 @@ TEST(DryRunCost, MatchesTimeModelAndLiveRunParallel) {
 TEST(DryRunCost, MatchesTimeModelAndLiveRunMultiBus) {
   for (ObservationMethod method :
        {ObservationMethod::OnceAtEnd, ObservationMethod::PerInitValue}) {
-    MultiBusConfig cfg;
+    SocConfig cfg;
     cfg.n_buses = 3;
-    cfg.wires_per_bus = 6;
+    cfg.n_wires = 6;
     cfg.m_extra_cells = 1;
-    MultiBusSoc soc(cfg);
-    MultiBusSession session(soc);
+    SiSocDevice soc(cfg);
+    SiTestSession session(soc);
     const PlanCost cost = dry_run_cost(session.plan(method));
 
-    analysis::TimeModel tm{cfg.wires_per_bus, cfg.m_extra_cells,
-                           cfg.ir_width};
+    analysis::TimeModel tm{cfg.n_wires, cfg.m_extra_cells, cfg.ir_width};
     EXPECT_EQ(cost.generation_tcks, tm.multibus_generation(cfg.n_buses));
 
-    const MultiBusReport r = session.run(method);
+    const MultiBusReport r = session.run_buses(method);
     EXPECT_EQ(cost.total_tcks, r.total_tcks);
     EXPECT_EQ(cost.generation_tcks, r.generation_tcks);
     EXPECT_EQ(cost.observation_tcks, r.observation_tcks);
@@ -323,9 +321,10 @@ TEST(DryRunCost, UnsupportedMethodsThrow) {
   EXPECT_THROW(session.plan_parallel(ObservationMethod::PerPattern, 2),
                std::invalid_argument);
 
-  MultiBusConfig mcfg;
-  MultiBusSoc msoc(mcfg);
-  MultiBusSession msession(msoc);
+  SocConfig mcfg;
+  mcfg.n_buses = 2;
+  SiSocDevice msoc(mcfg);
+  SiTestSession msession(msoc);
   EXPECT_THROW(msession.plan(ObservationMethod::PerPattern),
                std::invalid_argument);
 }

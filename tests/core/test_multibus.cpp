@@ -1,39 +1,40 @@
-#include "core/multibus.hpp"
-
+// Multi-bus SoC: SiSocDevice with SocConfig::n_buses > 1, tested by
+// SiTestSession::run_buses.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "analysis/time_model.hpp"
+#include "core/bist.hpp"
 #include "core/session.hpp"
 #include "mafm/schedule.hpp"
 
 namespace jsi::core {
 namespace {
 
-MultiBusConfig cfg(std::size_t buses, std::size_t wires) {
-  MultiBusConfig c;
+SocConfig cfg(std::size_t buses, std::size_t wires) {
+  SocConfig c;
   c.n_buses = buses;
-  c.wires_per_bus = wires;
+  c.n_wires = wires;
   return c;
 }
 
 TEST(MultiBusSoc, ChainLayout) {
-  MultiBusSoc soc(cfg(3, 4));
+  SiSocDevice soc(cfg(3, 4));
   EXPECT_EQ(soc.chain_length(), 2u * 3 * 4 + 1);
   EXPECT_EQ(soc.n_buses(), 3u);
-  EXPECT_EQ(soc.wires_per_bus(), 4u);
+  EXPECT_EQ(soc.config().n_wires, 4u);
 }
 
 TEST(MultiBusSoc, RejectsDegenerateConfigs) {
-  EXPECT_THROW(MultiBusSoc soc(cfg(0, 4)), std::invalid_argument);
-  EXPECT_THROW(MultiBusSoc soc(cfg(2, 1)), std::invalid_argument);
+  EXPECT_THROW(SiSocDevice soc(cfg(0, 4)), std::invalid_argument);
+  EXPECT_THROW(SiSocDevice soc(cfg(2, 1)), std::invalid_argument);
 }
 
 TEST(MultiBusSession, HealthyBusesAllClean) {
-  MultiBusSoc soc(cfg(3, 5));
-  MultiBusSession session(soc);
-  const auto r = session.run(ObservationMethod::OnceAtEnd);
+  SiSocDevice soc(cfg(3, 5));
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::OnceAtEnd);
   EXPECT_FALSE(r.any_violation());
   ASSERT_EQ(r.buses.size(), 3u);
   for (const auto& b : r.buses) {
@@ -45,9 +46,9 @@ TEST(MultiBusSession, EveryBusReceivesTheFullFaultSet) {
   // The parallel rotation must give every victim of every bus all six MA
   // faults, exactly like the single-bus flow.
   const std::size_t n = 4, nb = 3;
-  MultiBusSoc soc(cfg(nb, n));
-  MultiBusSession session(soc);
-  const auto r = session.run(ObservationMethod::OnceAtEnd);
+  SiSocDevice soc(cfg(nb, n));
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::OnceAtEnd);
   for (std::size_t b = 0; b < nb; ++b) {
     for (std::size_t v = 0; v < n; ++v) {
       std::set<mafm::MaFault> got;
@@ -64,9 +65,9 @@ TEST(MultiBusSession, PatternsMatchSingleBusReference) {
   // (ignoring the final cross-block rotation step, whose vector differs
   // because the neighbouring block's hot bit arrives).
   const std::size_t n = 5, nb = 2;
-  MultiBusSoc soc(cfg(nb, n));
-  MultiBusSession session(soc);
-  const auto r = session.run(ObservationMethod::OnceAtEnd);
+  SiSocDevice soc(cfg(nb, n));
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::OnceAtEnd);
   for (int block = 0; block < 2; ++block) {
     const auto ref = mafm::pgbsc_reference_sequence(n, block != 0);
     for (std::size_t b = 0; b < nb; ++b) {
@@ -81,11 +82,11 @@ TEST(MultiBusSession, PatternsMatchSingleBusReference) {
 }
 
 TEST(MultiBusSession, DefectsLocalizedToTheRightBus) {
-  MultiBusSoc soc(cfg(3, 6));
+  SiSocDevice soc(cfg(3, 6));
   soc.bus(0).inject_crosstalk_defect(2, 6.0);
   soc.bus(2).add_series_resistance(4, 900.0);
-  MultiBusSession session(soc);
-  const auto r = session.run(ObservationMethod::OnceAtEnd);
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::OnceAtEnd);
   EXPECT_TRUE(r.buses[0].nd_final[2]);
   EXPECT_TRUE(r.buses[2].sd_final[4]);
   // Bus 1 is healthy and must stay silent.
@@ -94,10 +95,10 @@ TEST(MultiBusSession, DefectsLocalizedToTheRightBus) {
 }
 
 TEST(MultiBusSession, ScanOutMatchesGroundTruth) {
-  MultiBusSoc soc(cfg(2, 5));
+  SiSocDevice soc(cfg(2, 5));
   soc.bus(1).inject_crosstalk_defect(3, 6.0);
-  MultiBusSession session(soc);
-  const auto r = session.run(ObservationMethod::OnceAtEnd);
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::OnceAtEnd);
   for (std::size_t b = 0; b < 2; ++b) {
     ASSERT_EQ(r.buses[b].readouts.size(), 1u);
     EXPECT_EQ(r.buses[b].readouts[0].nd.to_string(),
@@ -115,9 +116,9 @@ TEST(MultiBusSession, ParallelismMakesGenerationNearlyFlatInBusCount) {
   const std::size_t n = 8;
   std::uint64_t parallel4;
   {
-    MultiBusSoc soc(cfg(4, n));
-    MultiBusSession session(soc);
-    parallel4 = session.run(ObservationMethod::OnceAtEnd).total_tcks;
+    SiSocDevice soc(cfg(4, n));
+    SiTestSession session(soc);
+    parallel4 = session.run_buses(ObservationMethod::OnceAtEnd).total_tcks;
   }
   std::uint64_t single;
   {
@@ -132,18 +133,18 @@ TEST(MultiBusSession, ParallelismMakesGenerationNearlyFlatInBusCount) {
 }
 
 TEST(MultiBusSession, PerInitValueMethodWorks) {
-  MultiBusSoc soc(cfg(2, 4));
+  SiSocDevice soc(cfg(2, 4));
   soc.bus(0).inject_crosstalk_defect(1, 6.0);
-  MultiBusSession session(soc);
-  const auto r = session.run(ObservationMethod::PerInitValue);
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::PerInitValue);
   EXPECT_EQ(r.buses[0].readouts.size(), 2u);
   EXPECT_TRUE(r.buses[0].nd_final[1]);
 }
 
 TEST(MultiBusSession, PerPatternRejected) {
-  MultiBusSoc soc(cfg(2, 4));
-  MultiBusSession session(soc);
-  EXPECT_THROW(session.run(ObservationMethod::PerPattern),
+  SiSocDevice soc(cfg(2, 4));
+  SiTestSession session(soc);
+  EXPECT_THROW(session.run_buses(ObservationMethod::PerPattern),
                std::invalid_argument);
 }
 
@@ -153,15 +154,15 @@ class MultiBusClockCounts
 
 TEST_P(MultiBusClockCounts, MeasuredTcksMatchClosedForm) {
   const auto [buses, n] = GetParam();
-  MultiBusSoc soc(cfg(buses, n));
-  MultiBusSession session(soc);
+  SiSocDevice soc(cfg(buses, n));
+  SiTestSession session(soc);
   analysis::TimeModel model{n, 1, 4};
 
-  const auto r1 = session.run(ObservationMethod::OnceAtEnd);
+  const auto r1 = session.run_buses(ObservationMethod::OnceAtEnd);
   EXPECT_EQ(r1.generation_tcks, model.multibus_generation(buses));
   EXPECT_EQ(r1.observation_tcks, model.multibus_readout(buses));
 
-  const auto r2 = session.run(ObservationMethod::PerInitValue);
+  const auto r2 = session.run_buses(ObservationMethod::PerInitValue);
   EXPECT_EQ(r2.observation_tcks, 2 * model.multibus_readout(buses));
 }
 
@@ -173,14 +174,110 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MultiBusSession, SingleBusDegeneratesToSiTestSessionCounts) {
   // B=1 must cost exactly what the single-bus session costs (generation).
   const std::size_t n = 6;
-  MultiBusSoc msoc(cfg(1, n));
-  MultiBusSession msession(msoc);
-  const auto mr = msession.run(ObservationMethod::OnceAtEnd);
+  SiSocDevice msoc(cfg(1, n));
+  SiTestSession msession(msoc);
+  const auto mr = msession.run_buses(ObservationMethod::OnceAtEnd);
 
   analysis::TimeModel model{n, 1, 4};
   EXPECT_EQ(mr.generation_tcks, model.pgbsc_generation());
   EXPECT_EQ(mr.observation_tcks,
             model.enhanced_observation(ObservationMethod::OnceAtEnd));
+}
+
+TEST(MultiBusSession, BackToBackRunsReportEqualTransitionCounts) {
+  // Each run starts with a TAP reset, which zeroes the transition count:
+  // a second session on the same device must not report the first one's
+  // transitions on top of its own.
+  SiSocDevice soc(cfg(2, 4));
+  SiTestSession session(soc);
+  session.run_buses(ObservationMethod::OnceAtEnd);
+  const std::uint64_t first = soc.bus_transitions();
+  session.run_buses(ObservationMethod::OnceAtEnd);
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(soc.bus_transitions(), first);
+}
+
+TEST(MultiBusSoc, UnsupportedFlowsThrowTypedErrors) {
+  SiSocDevice soc(cfg(2, 4));
+  SiTestSession session(soc);
+  EXPECT_THROW(session.run(ObservationMethod::OnceAtEnd),
+               std::invalid_argument);
+  EXPECT_THROW(session.run_parallel(ObservationMethod::OnceAtEnd, 2),
+               std::invalid_argument);
+  EXPECT_THROW(SiBistController{soc}, std::invalid_argument);
+
+  SocConfig conv = cfg(2, 4);
+  conv.enhanced = false;
+  SiSocDevice csoc(conv);
+  ConventionalSession csession(csoc);
+  EXPECT_THROW(csession.run(ObservationMethod::OnceAtEnd),
+               std::invalid_argument);
+}
+
+TEST(MultiBusSoc, BorrowsBusZeroAndOwnsClonesOfIt) {
+  si::BusParams p;
+  p.n_wires = 4;
+  si::CoupledBus bus(p);
+  SiSocDevice soc(cfg(3, 4), bus);
+  EXPECT_EQ(&soc.bus(0), &bus);
+  EXPECT_NE(&soc.bus(1), &bus);
+  EXPECT_NE(&soc.bus(1), &soc.bus(2));
+  EXPECT_THROW(soc.bus(3), std::out_of_range);
+  // A defect injected into one bus stays on that bus.
+  soc.bus(2).inject_crosstalk_defect(1, 6.0);
+  SiTestSession session(soc);
+  const auto r = session.run_buses(ObservationMethod::OnceAtEnd);
+  EXPECT_FALSE(r.buses[0].any_violation());
+  EXPECT_FALSE(r.buses[1].any_violation());
+  EXPECT_TRUE(r.buses[2].nd_final[1]);
+}
+
+TEST(MultiBusSoc, EventsCarryBusIdsOnlyWithSeveralBuses) {
+  class Capture final : public obs::Sink {
+   public:
+    std::set<std::int64_t> transition_a, detector_b;
+    void on_event(const obs::Event& e) override {
+      if (e.kind == obs::EventKind::BusTransition) transition_a.insert(e.a);
+      if (e.kind == obs::EventKind::DetectorFired) detector_b.insert(e.b);
+    }
+  };
+  for (const std::size_t buses : {1u, 2u}) {
+    SCOPED_TRACE(buses);
+    SiSocDevice soc(cfg(buses, 4));
+    for (std::size_t b = 0; b < buses; ++b) {
+      soc.bus(b).inject_crosstalk_defect(1, 6.0);
+    }
+    Capture cap;
+    SiTestSession session(soc);
+    session.set_sink(&cap);
+    session.run_buses(ObservationMethod::OnceAtEnd);
+    if (buses == 1) {
+      // The paper's one-bus SoC keeps its historic event ids.
+      EXPECT_EQ(cap.transition_a, (std::set<std::int64_t>{0}));
+      EXPECT_EQ(cap.detector_b, (std::set<std::int64_t>{-1}));
+    } else {
+      EXPECT_EQ(cap.transition_a, (std::set<std::int64_t>{0, 1}));
+      EXPECT_EQ(cap.detector_b, (std::set<std::int64_t>{0, 1}));
+    }
+  }
+}
+
+TEST(MultiBusSession, SingleBusRunBusesMatchesRun) {
+  // On one bus run_buses executes exactly the plan run() executes.
+  SiSocDevice a(cfg(1, 5));
+  SiSocDevice b(cfg(1, 5));
+  a.bus().inject_crosstalk_defect(2, 6.0);
+  b.bus().inject_crosstalk_defect(2, 6.0);
+  SiTestSession sa(a);
+  SiTestSession sb(b);
+  const IntegrityReport r = sa.run(ObservationMethod::PerInitValue);
+  const MultiBusReport m = sb.run_buses(ObservationMethod::PerInitValue);
+  ASSERT_EQ(m.buses.size(), 1u);
+  EXPECT_EQ(m.total_tcks, r.total_tcks);
+  EXPECT_EQ(m.buses[0].patterns.size(), r.patterns.size());
+  EXPECT_EQ(m.buses[0].nd_final.to_string(), r.nd_final.to_string());
+  EXPECT_EQ(m.buses[0].sd_final.to_string(), r.sd_final.to_string());
+  EXPECT_EQ(a.bus_transitions(), b.bus_transitions());
 }
 
 }  // namespace

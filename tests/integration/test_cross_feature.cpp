@@ -7,7 +7,6 @@
 #include "core/bist.hpp"
 #include "core/bsdl.hpp"
 #include "core/export.hpp"
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "jtag/monitor.hpp"
 #include "util/prng.hpp"
@@ -67,13 +66,13 @@ TEST(CrossFeature, ParallelVictimsUnderRandomDefects) {
 }
 
 TEST(CrossFeature, MultiBusReportsExportToJson) {
-  core::MultiBusConfig cfg;
+  core::SocConfig cfg;
   cfg.n_buses = 2;
-  cfg.wires_per_bus = 5;
-  core::MultiBusSoc soc(cfg);
+  cfg.n_wires = 5;
+  core::SiSocDevice soc(cfg);
   soc.bus(1).inject_crosstalk_defect(2, 6.0);
-  core::MultiBusSession session(soc);
-  const auto r = session.run(core::ObservationMethod::OnceAtEnd);
+  core::SiTestSession session(soc);
+  const auto r = session.run_buses(core::ObservationMethod::OnceAtEnd);
   const std::string j0 = core::report_to_json(r.buses[0]);
   const std::string j1 = core::report_to_json(r.buses[1]);
   EXPECT_NE(j0.find("\"pass\": true"), std::string::npos);

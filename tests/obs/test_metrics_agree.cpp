@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "core/bist.hpp"
-#include "core/multibus.hpp"
 #include "core/plan.hpp"
 #include "core/session.hpp"
 #include "ict/extest_session.hpp"
@@ -22,12 +21,6 @@ namespace jsi {
 namespace {
 
 using core::ObservationMethod;
-
-obs::TracerConfig small_trace() {
-  obs::TracerConfig cfg;
-  cfg.capacity = 64;  // metrics, not traces, are under test here
-  return cfg;
-}
 
 void expect_books_agree(const obs::Hub& hub, const core::PlanCost& dry,
                         std::uint64_t live_total, std::uint64_t live_gen,
@@ -52,7 +45,7 @@ TEST(MetricsAgree, EnhancedSession) {
     cfg.n_wires = 4;
     core::SiSocDevice soc(cfg);
     core::SiTestSession session(soc);
-    obs::Hub hub(small_trace());
+    obs::Hub hub;
     hub.set_strict(true);
     session.set_sink(&hub);
 
@@ -71,7 +64,7 @@ TEST(MetricsAgree, ParallelVictimsSession) {
     cfg.n_wires = 6;
     core::SiSocDevice soc(cfg);
     core::SiTestSession session(soc);
-    obs::Hub hub(small_trace());
+    obs::Hub hub;
     hub.set_strict(true);
     session.set_sink(&hub);
 
@@ -90,7 +83,7 @@ TEST(MetricsAgree, ConventionalSession) {
     cfg.enhanced = false;
     core::SiSocDevice soc(cfg);
     core::ConventionalSession session(soc);
-    obs::Hub hub(small_trace());
+    obs::Hub hub;
     hub.set_strict(true);
     session.set_sink(&hub);
 
@@ -105,17 +98,17 @@ TEST(MetricsAgree, ConventionalSession) {
 TEST(MetricsAgree, MultiBusSession) {
   for (const ObservationMethod m :
        {ObservationMethod::OnceAtEnd, ObservationMethod::PerInitValue}) {
-    core::MultiBusConfig cfg;
+    core::SocConfig cfg;
     cfg.n_buses = 2;
-    cfg.wires_per_bus = 4;
-    core::MultiBusSoc soc(cfg);
-    core::MultiBusSession session(soc);
-    obs::Hub hub(small_trace());
+    cfg.n_wires = 4;
+    core::SiSocDevice soc(cfg);
+    core::SiTestSession session(soc);
+    obs::Hub hub;
     hub.set_strict(true);
     session.set_sink(&hub);
 
     const core::PlanCost dry = core::dry_run_cost(session.plan(m));
-    const core::MultiBusReport r = session.run(m);
+    const core::MultiBusReport r = session.run_buses(m);
     expect_books_agree(hub, dry, r.total_tcks, r.generation_tcks,
                        r.observation_tcks, "multibus");
     EXPECT_EQ(hub.registry().counter_value("session.multibus"), 1u);
@@ -125,7 +118,7 @@ TEST(MetricsAgree, MultiBusSession) {
 TEST(MetricsAgree, ExtestSession) {
   ict::BoardNets board(6);
   ict::ExtestInterconnectSession session(board);
-  obs::Hub hub(small_trace());
+  obs::Hub hub;
   hub.set_strict(true);
   session.set_sink(&hub);
 
@@ -145,7 +138,7 @@ TEST(MetricsAgree, BistSessionEdgeCountMatchesProgramLength) {
   cfg.n_wires = 4;
   core::SiSocDevice soc(cfg);
   core::SiBistController bist(soc);
-  obs::Hub hub(small_trace());
+  obs::Hub hub;
   hub.set_strict(true);
   bist.set_sink(&hub);
 

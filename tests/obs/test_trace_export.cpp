@@ -32,10 +32,12 @@ std::string four_wire_jsonl(bool tap_edges = false) {
   obs::TracerConfig cfg;
   cfg.tap_edges = tap_edges;
   obs::Hub hub(cfg);
+  obs::Tracer tracer(cfg);
+  hub.add_sink(&tracer);
   session.set_sink(&hub);
   session.run(core::ObservationMethod::OnceAtEnd);
   std::ostringstream os;
-  hub.tracer().write_jsonl(os);
+  tracer.write_jsonl(os);
   return os.str();
 }
 
@@ -213,11 +215,13 @@ TEST(TraceExport, ChromeTraceValidatesAgainstSchema) {
   core::SiSocDevice soc = make_soc(4);
   core::SiTestSession session(soc);
   obs::Hub hub;
+  obs::Tracer tracer;
+  hub.add_sink(&tracer);
   session.set_sink(&hub);
   session.run(core::ObservationMethod::PerPattern);
 
   std::ostringstream os;
-  hub.tracer().write_chrome_trace(os);
+  tracer.write_chrome_trace(os);
   std::string err;
   const auto doc = util::json::parse(os.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
