@@ -114,8 +114,6 @@ void CampaignRunner::set_prototype_bus(const si::CoupledBus* prototype) {
   prototype_ = prototype;
 }
 
-void CampaignRunner::set_live_sink(obs::Sink* sink) { live_sink_ = sink; }
-
 void CampaignRunner::add(CampaignUnit unit) {
   units_.push_back(std::move(unit));
 }
@@ -225,18 +223,6 @@ CampaignResult CampaignRunner::run() {
   const std::size_t chunk_size = effective_chunk_size();
   const std::size_t n_chunks = (n + chunk_size - 1) / chunk_size;
 
-  std::size_t range_end = cfg_.range_end == 0 ? n : cfg_.range_end;
-  if (cfg_.range_begin > range_end || range_end > n) {
-    throw std::invalid_argument("campaign: work-unit range out of bounds");
-  }
-  if (cfg_.range_begin % chunk_size != 0 ||
-      (range_end % chunk_size != 0 && range_end != n)) {
-    throw std::invalid_argument(
-        "campaign: work-unit range must fall on chunk boundaries");
-  }
-  const std::size_t begin_chunk = cfg_.range_begin / chunk_size;
-  const std::size_t end_chunk = (range_end + chunk_size - 1) / chunk_size;
-
   // One slot per chunk. A chunk is either pre-filled from a loaded
   // checkpoint or produced by exactly one worker; the streaming fold
   // below consumes slots strictly in chunk order.
@@ -275,10 +261,10 @@ CampaignResult CampaignRunner::run() {
     ckpt.open(cfg_.checkpoint_path, header, resuming);
   }
 
-  // Work remaining this call: non-loaded chunks inside the range.
+  // Work remaining this call: the chunks not loaded from the checkpoint.
   std::size_t runnable_chunks = 0;
   std::size_t runnable_units = 0;
-  for (std::size_t c = begin_chunk; c < end_chunk; ++c) {
+  for (std::size_t c = 0; c < n_chunks; ++c) {
     if (loaded[c]) continue;
     ++runnable_chunks;
     runnable_units += std::min(n, (c + 1) * chunk_size) - c * chunk_size;
@@ -292,7 +278,7 @@ CampaignResult CampaignRunner::run() {
   if (shards > runnable_chunks) shards = runnable_chunks;
   if (shards == 0) shards = 1;
 
-  std::atomic<std::size_t> next_chunk{begin_chunk};
+  std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> fresh_claimed{0};
 
   // The streaming fold. Chunk records merge into the result in strict
@@ -300,17 +286,14 @@ CampaignResult CampaignRunner::run() {
   // memory stays bounded by chunks in flight, not campaign size. Chunk
   // order == work-unit order, so the merged registry's FP summation
   // grouping is a pure function of n and the outcome list
-  // lands in work-unit order: byte-identity across shard counts, worker
-  // processes, and resume follows.
+  // lands in work-unit order: byte-identity across shard counts and
+  // resume follows.
   CampaignResult r;
   r.aggregated = aggregate;
   std::mutex publish_mu;
-  // A range-restricted call folds only its own chunks (chunks outside
-  // the range belong to other worker processes); the result is then
-  // marked incomplete below, whatever the fold reached.
-  std::size_t frontier = begin_chunk;
+  std::size_t frontier = 0;
   auto drain = [&]() {  // publish_mu must be held (or workers joined)
-    while (frontier < end_chunk && records[frontier].has_value()) {
+    while (frontier < n_chunks && records[frontier].has_value()) {
       ChunkRecord& rec = *records[frontier];
       r.metrics.merge(rec.registry);
       r.units_run += rec.agg.units;
@@ -340,10 +323,9 @@ CampaignResult CampaignRunner::run() {
 
   auto worker = [&](std::size_t worker_id) {
     // The hub is built inside the worker: one observer per thread, never
-    // shared. Only the optional live sink crosses threads.
+    // shared.
     obs::Hub hub(cfg_.trace);
     hub.set_strict(cfg_.strict_metrics);
-    if (live_sink_ != nullptr) hub.add_sink(live_sink_);
     // Event streams are recorded only when the campaign keeps them.
     std::optional<obs::Tracer> tracer;
     if (cfg_.keep_events) hub.add_sink(&tracer.emplace(cfg_.trace));
@@ -362,7 +344,7 @@ CampaignResult CampaignRunner::run() {
         break;
       }
       const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= end_chunk) break;
+      if (c >= n_chunks) break;
       if (loaded[c]) continue;  // resumed; its record is already in place
       if (cfg_.max_chunks != 0 &&
           fresh_claimed.fetch_add(1, std::memory_order_relaxed) >=
@@ -473,7 +455,7 @@ CampaignResult CampaignRunner::run() {
   telemetry.stop();
 
   drain();  // no lock needed: workers are done
-  r.complete = cfg_.range_begin == 0 && range_end == n && frontier == n_chunks;
+  r.complete = frontier == n_chunks;
   r.cancelled =
       cfg_.cancel != nullptr && cfg_.cancel->load(std::memory_order_relaxed);
   r.shards_used = shards;

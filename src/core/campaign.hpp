@@ -190,13 +190,6 @@ struct CampaignConfig {
   /// this turns run() into an incremental step — and it is the
   /// kill-at-a-boundary simulation the resume tests use.
   std::size_t max_chunks = 0;
-  /// Restrict this run to work-unit indices [range_begin, range_end);
-  /// range_end 0 = count(). Both ends must fall on chunk boundaries (or
-  /// the campaign end). The multi-process `--workers` mode gives each
-  /// forked worker a disjoint chunk-aligned range and merges their
-  /// checkpoint records; a range-restricted result is marked incomplete.
-  std::size_t range_begin = 0;
-  std::size_t range_end = 0;
   /// Cooperative cancellation flag (not owned; may be nullptr). Workers
   /// poll it between chunk claims: once it reads true no new chunk is
   /// started, in-flight chunks finish (and still checkpoint), and run()
@@ -225,9 +218,9 @@ struct CampaignResult {
   bool aggregated = false;
   /// Number of unit outcomes folded into this result.
   std::uint64_t units_run = 0;
-  /// False when this run did not fold every chunk — a range-restricted
-  /// or max_chunks-limited call. Incomplete results are intermediate
-  /// (checkpoint fodder), never final artifacts.
+  /// False when this run did not fold every chunk — a max_chunks-limited
+  /// or cancelled call. Incomplete results are intermediate (checkpoint
+  /// fodder), never final artifacts.
   bool complete = true;
   /// True when CampaignConfig::cancel was observed set during the run.
   /// A cancelled run is also incomplete unless the flag raced the last
@@ -295,12 +288,6 @@ class CampaignRunner {
   /// run(), so sharing it across workers is safe.
   void set_prototype_bus(const si::CoupledBus* prototype);
 
-  /// Extra sink attached to every worker hub (not owned; must be
-  /// thread-safe — see obs::AggregatingSink). Receives every stamped
-  /// event live, in completion order; use for progress metering, never
-  /// for the deterministic books.
-  void set_live_sink(obs::Sink* sink);
-
   /// Append a work unit (stable order: merge position == add order).
   void add(CampaignUnit unit);
 
@@ -342,8 +329,7 @@ class CampaignRunner {
   /// prototype clone per chunk) amortizes dispatch at sweep scale. A pure
   /// function of the unit count — never of the shard count — because the
   /// chunk layout fixes the FP summation grouping of the merged registry.
-  /// Exposed so range planners (the multi-process worker split) can align
-  /// ranges to chunk boundaries.
+  /// checkpoint_header() records it so a resume can check the layout.
   std::size_t effective_chunk_size() const { return aggregated() ? 64 : 1; }
 
   /// The checkpoint header run() writes and expects on resume: the
@@ -363,7 +349,6 @@ class CampaignRunner {
   std::vector<CampaignUnit> units_;
   const UnitSource* source_ = nullptr;
   const si::CoupledBus* prototype_ = nullptr;
-  obs::Sink* live_sink_ = nullptr;
 };
 
 }  // namespace jsi::core

@@ -267,32 +267,6 @@ CheckpointData load_checkpoint(const std::string& path) {
   return data;
 }
 
-void merge_checkpoint_parts(const std::string& dst, const CheckpointHeader& h,
-                            const std::vector<std::string>& parts) {
-  std::ofstream os(dst, std::ios::binary | std::ios::trunc);
-  if (!os) fail("cannot open \"" + dst + "\" for writing");
-  write_checkpoint_header(os, h);
-  os << '\n';
-  for (const std::string& part : parts) {
-    std::ifstream is(part, std::ios::binary);
-    if (!is) fail("missing part file \"" + part + "\"");
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
-    // Durable region: after the part's own header line, up to (and
-    // including) the last newline. Anything past the last '\n' is a torn
-    // tail from a killed writer — dropped here so it cannot masquerade
-    // as a complete line in the merged file (its chunk re-runs in the
-    // fold instead).
-    const std::size_t header_end = text.find('\n');
-    if (header_end == std::string::npos) continue;  // header itself torn
-    const std::size_t durable_end = text.find_last_of('\n') + 1;
-    os << text.substr(header_end + 1, durable_end - header_end - 1);
-  }
-  os.flush();
-  if (!os) fail("write failed on \"" + dst + "\"");
-}
-
 void CheckpointWriter::open(const std::string& path, const CheckpointHeader& h,
                             bool resume_existing) {
   if (resume_existing) {

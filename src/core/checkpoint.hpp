@@ -76,21 +76,6 @@ struct CheckpointData {
 /// or the header/records are malformed.
 CheckpointData load_checkpoint(const std::string& path);
 
-/// Concatenate worker part files into one merged checkpoint at `dst`:
-/// the given header, then every part's record lines in part order. Each
-/// part contributes only its durable region — the newline-terminated
-/// lines after its own header. An unterminated final line is the torn
-/// tail of a killed writer and is DROPPED, never re-terminated: gluing a
-/// '\n' onto it would turn a fragment the loader is designed to stop at
-/// into a line that poisons every record after it in the merged file
-/// (load_checkpoint stops at the first unparseable line, so one
-/// re-terminated torn record silently discards all later parts'
-/// records). The dropped chunk simply re-runs during the merge fold.
-/// A part whose header itself is torn contributes nothing. Throws
-/// std::runtime_error when `dst` cannot be written or a part is missing.
-void merge_checkpoint_parts(const std::string& dst, const CheckpointHeader& h,
-                            const std::vector<std::string>& parts);
-
 /// Render one header / record line (no trailing newline — callers
 /// append '\n'). Record lines have the same shape in both outcome
 /// modes; aggregate mode simply retains fewer outcomes per record.

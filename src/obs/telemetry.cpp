@@ -173,11 +173,9 @@ void Telemetry::emit(const Snapshot& s) {
   }
   if (cfg_.sink != nullptr) write_snapshot_jsonl(*cfg_.sink, clamped);
   if (cfg_.progress) {
-    std::ostream& os =
-        cfg_.progress_stream != nullptr ? *cfg_.progress_stream : std::cerr;
-    os << '\r' << render_progress_line(clamped);
-    if (clamped.units_done >= clamped.units_total) os << '\n';
-    os.flush();
+    std::cerr << '\r' << render_progress_line(clamped);
+    if (clamped.units_done >= clamped.units_total) std::cerr << '\n';
+    std::cerr.flush();
   }
   heartbeats_.fetch_add(1, std::memory_order_relaxed);
 }

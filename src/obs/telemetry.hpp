@@ -32,9 +32,8 @@ struct TelemetryConfig {
   /// Used in addition to `sink_path`.
   std::ostream* sink = nullptr;
   /// Render a single-line terminal progress bar with ETA on every
-  /// sample (to `progress_stream`, default std::cerr).
+  /// sample, to std::cerr.
   bool progress = false;
-  std::ostream* progress_stream = nullptr;
 };
 
 /// Per-unit counter deltas a worker publishes when a unit completes —

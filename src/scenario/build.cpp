@@ -206,8 +206,6 @@ ScenarioCampaign build_campaign(const ScenarioSpec& spec,
   cc.checkpoint_path = opt.checkpoint_path;
   cc.resume = opt.resume;
   cc.max_chunks = opt.max_chunks;
-  cc.range_begin = opt.range_begin;
-  cc.range_end = opt.range_end;
   if (!cc.checkpoint_path.empty()) {
     // Campaign identity for the checkpoint header: a checkpoint written
     // by one spec can never silently resume another.

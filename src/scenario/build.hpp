@@ -77,24 +77,27 @@ struct BuildOptions {
   // spec, so a checkpoint can never silently resume a different sweep.
 
   /// Sidecar checkpoint file ("" = none) — the CLI's --checkpoint flag.
+  /// Every completed chunk is appended as one JSONL record, so a killed
+  /// run loses at most the chunks in flight.
   std::string checkpoint_path;
-  /// Load checkpoint_path and skip its completed chunks (--resume).
+  /// Load checkpoint_path and skip its completed chunks (--resume); the
+  /// final artifacts are byte-identical to an uninterrupted run.
   bool resume = false;
-  /// Stop after ~N freshly run chunks; 0 = run to completion.
+  /// Stop after ~N freshly run chunks (--max-chunks); 0 = run to
+  /// completion. An incremental step towards a checkpointed campaign.
   std::size_t max_chunks = 0;
-  /// Restrict to work-unit indices [range_begin, range_end); 0/0 = all.
-  /// Must be chunk-aligned (the multi-process worker split is).
-  std::size_t range_begin = 0;
-  std::size_t range_end = 0;
 
   /// Cooperative cancellation flag (not owned; may be nullptr),
-  /// forwarded to core::CampaignConfig::cancel. The campaign service
-  /// points every job's runner at the job's cancel flag.
+  /// forwarded to core::CampaignConfig::cancel: once it reads true,
+  /// workers stop claiming chunks and the run returns an incomplete
+  /// result with `cancelled` set. The campaign service points every
+  /// job's runner at the job's cancel flag.
   const std::atomic<bool>* cancel = nullptr;
   /// Extra in-memory telemetry heartbeat sink (not owned; may be
   /// nullptr), forwarded to obs::TelemetryConfig::sink in addition to
-  /// any JSONL file path — the campaign service streams a job's
-  /// heartbeats to subscribed clients through this.
+  /// any JSONL file path; naming one turns telemetry on. The campaign
+  /// service streams a job's heartbeats to subscribed clients through
+  /// this.
   std::ostream* telemetry_sink = nullptr;
 };
 

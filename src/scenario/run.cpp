@@ -1,17 +1,12 @@
 #include "scenario/run.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/checkpoint.hpp"
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
-#include "scenario/build.hpp"
 #include "scenario/sweep.hpp"
 #include "util/json.hpp"
 
@@ -43,155 +38,10 @@ ScenarioOutcome render_outcome(const ScenarioSpec& spec,
   return out;
 }
 
-std::string part_path(const std::string& checkpoint, std::size_t worker) {
-  return checkpoint + ".part" + std::to_string(worker);
-}
-
-/// Multi-process execution: fork workers over disjoint chunk-aligned
-/// index ranges, each appending its chunk records to its own checkpoint
-/// part file; then concatenate the parts (chunk order == worker order,
-/// since ranges are assigned in index order) and fold the merged
-/// checkpoint through an in-process resume pass. The fold consumes
-/// records through the same chunk-ordered drain an uninterrupted run
-/// uses and the records round-trip doubles bit-exactly, so the final
-/// artifacts are byte-identical to any other worker/shard count.
-ScenarioOutcome run_multiprocess(const ScenarioSpec& spec,
-                                 const RunOptions& opt) {
-  if (spec.campaign.keep_events) {
-    throw std::invalid_argument(
-        "multi-process run: keep_events is incompatible with --workers");
-  }
-  if (opt.max_chunks != 0) {
-    throw std::invalid_argument(
-        "multi-process run: --max-chunks is incompatible with --workers");
-  }
-
-  std::string ckpt = opt.checkpoint_path;
-  const bool temp_ckpt = ckpt.empty();
-  if (temp_ckpt) {
-    ckpt = (std::filesystem::temp_directory_path() /
-            ("jsi_sweep_" + std::to_string(::getpid()) + ".checkpoint"))
-               .string();
-  }
-
-  // Plan the split against an unexecuted campaign: its checkpoint header
-  // carries the unit count and the chunk width run() will schedule with.
-  core::CheckpointHeader header;
-  {
-    BuildOptions probe_opt;
-    probe_opt.shards = 1;
-    probe_opt.checkpoint_path = ckpt;  // stamps the campaign fingerprint
-    header = build_campaign(spec, probe_opt).runner().checkpoint_header();
-  }
-  const std::size_t n = header.units;
-  const std::size_t chunk = header.chunk_size;
-  const std::size_t n_chunks = (n + chunk - 1) / chunk;
-  if (n_chunks == 0) {
-    // Nothing to distribute; run in-process.
-    RunOptions inproc = opt;
-    inproc.workers = 0;
-    return run_scenario(spec, inproc);
-  }
-  const std::size_t workers = std::min(opt.workers, n_chunks);
-
-  // Fork the workers. Each child runs its range with telemetry and
-  // progress off (heartbeats from N processes would interleave) and
-  // exits 0 on success; its partial aggregates live entirely in its
-  // part file, so nothing crosses the process boundary but bytes.
-  std::vector<pid_t> pids;
-  std::size_t next_chunk = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t share =
-        n_chunks / workers + (w < n_chunks % workers ? 1 : 0);
-    const std::size_t begin = next_chunk * chunk;
-    const std::size_t end = std::min((next_chunk + share) * chunk, n);
-    next_chunk += share;
-
-    const std::string part = part_path(ckpt, w);
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("multi-process run: fork failed");
-    if (pid == 0) {
-      int status = 1;
-      try {
-        BuildOptions bo;
-        bo.shards = opt.shards;
-        bo.checkpoint_path = part;
-        bo.resume = opt.resume && std::filesystem::exists(part);
-        bo.range_begin = begin;
-        bo.range_end = end;
-        ScenarioCampaign campaign = build_campaign(spec, bo);
-        campaign.run();
-        status = 0;
-      } catch (...) {
-      }
-      ::_exit(status);
-    }
-    pids.push_back(pid);
-  }
-
-  bool failed = false;
-  for (const pid_t pid : pids) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid ||
-        !(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-      failed = true;
-    }
-  }
-  if (failed) {
-    throw std::runtime_error(
-        "multi-process run: a worker process failed; its checkpoint part "
-        "files were kept for inspection");
-  }
-
-  // Assemble the merged checkpoint: one header plus every part's durable
-  // records, in worker (== chunk) order. merge_checkpoint_parts copies
-  // only newline-terminated lines — a part's torn tail (a worker killed
-  // mid-append) is dropped, never re-terminated into a line that would
-  // make the fold's loader stop early and discard every later part's
-  // records; the dropped chunk simply re-runs in the fold below.
-  {
-    std::vector<std::string> parts;
-    for (std::size_t w = 0; w < workers; ++w) parts.push_back(part_path(ckpt, w));
-    core::merge_checkpoint_parts(ckpt, header, parts);
-  }
-
-  // Fold the merged checkpoint in-process. Every chunk is already in the
-  // file, so this is a pure merge pass (no units execute); it also
-  // transparently re-runs any chunk a worker failed to record.
-  RunOptions fold = opt;
-  fold.workers = 0;
-  fold.checkpoint_path = ckpt;
-  fold.resume = true;
-  ScenarioOutcome out = run_scenario(spec, fold);
-
-  std::error_code ec;
-  for (std::size_t w = 0; w < workers; ++w) {
-    std::filesystem::remove(part_path(ckpt, w), ec);
-  }
-  if (temp_ckpt) std::filesystem::remove(ckpt, ec);
-  return out;
-}
-
 }  // namespace
 
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
-  if (opt.workers > 1) {
-    if (opt.cancel != nullptr) {
-      throw std::invalid_argument(
-          "multi-process run: cancel is incompatible with --workers");
-    }
-    return run_multiprocess(spec, opt);
-  }
-  BuildOptions bo;
-  bo.shards = opt.shards;
-  bo.telemetry = opt.telemetry;
-  bo.progress = opt.progress;
-  bo.checkpoint_path = opt.checkpoint_path;
-  bo.resume = opt.resume;
-  bo.max_chunks = opt.max_chunks;
-  bo.cancel = opt.cancel;
-  bo.telemetry_sink = opt.telemetry_sink;
-  ScenarioCampaign campaign = build_campaign(spec, bo);
+  ScenarioCampaign campaign = build_campaign(spec, opt);
   return render_outcome(spec, campaign.run(), opt);
 }
 

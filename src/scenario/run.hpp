@@ -1,54 +1,19 @@
 #ifndef JSI_SCENARIO_RUN_HPP
 #define JSI_SCENARIO_RUN_HPP
 
-#include <atomic>
-#include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "core/campaign.hpp"
+#include "scenario/build.hpp"
 #include "scenario/spec.hpp"
 
 namespace jsi::scenario {
 
-struct RunOptions {
-  /// Override campaign.shards (the CLI's --shards flag).
-  std::optional<std::size_t> shards;
-  /// Override the spec's telemetry section (the CLI's --telemetry /
-  /// --telemetry-interval flags).
-  std::optional<TelemetrySpec> telemetry;
-  /// Live single-line terminal progress with ETA (the CLI's --progress).
-  bool progress = false;
+/// The build controls (shards, telemetry, checkpoint/resume, cancel)
+/// plus what run_scenario renders beyond the canonical artifacts.
+struct RunOptions : BuildOptions {
   /// Render the post-run profile report into ScenarioOutcome::profile_text.
   bool profile = false;
-
-  /// Sidecar checkpoint file (the CLI's --checkpoint): every completed
-  /// chunk is appended as one JSONL record, so a killed run loses at
-  /// most the chunks in flight.
-  std::string checkpoint_path;
-  /// Resume from checkpoint_path (--resume): completed chunks are folded
-  /// from the file instead of re-run; the final artifacts are
-  /// byte-identical to an uninterrupted run.
-  bool resume = false;
-  /// Stop after ~N freshly run chunks (--max-chunks); 0 = to completion.
-  /// An incremental step towards a checkpointed campaign.
-  std::size_t max_chunks = 0;
-  /// Fork this many worker processes over disjoint chunk-aligned index
-  /// ranges (--workers; 0/1 = in-process). Each worker writes its chunk
-  /// records to its own checkpoint part file; the parent concatenates
-  /// them and folds the merged checkpoint in chunk order, so the
-  /// artifacts are byte-identical to any other worker/shard count.
-  std::size_t workers = 0;
-
-  /// Cooperative cancellation flag (not owned; may be nullptr): once it
-  /// reads true, workers stop claiming chunks and run_scenario returns
-  /// an incomplete result with result.cancelled set. The campaign
-  /// service's cancel verb flips this. Incompatible with workers > 1.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Extra in-memory telemetry heartbeat sink (not owned; may be
-  /// nullptr); naming one turns telemetry on. The campaign service
-  /// streams per-job heartbeats to subscribers through this.
-  std::ostream* telemetry_sink = nullptr;
 };
 
 /// Everything one scenario execution produces, already rendered into the
@@ -73,7 +38,7 @@ struct ScenarioOutcome {
   /// violations / failures / yield fraction — folded from the merged
   /// metrics. Part of the determinism contract (a pure function of the
   /// merged registry). Empty for non-sweep scenarios and for incomplete
-  /// (range- or max_chunks-restricted) runs.
+  /// (max_chunks-limited or cancelled) runs.
   std::string yield_json;
 };
 
@@ -93,7 +58,7 @@ std::string render_profile(const ScenarioSpec& spec,
 /// The yield.json text for a sweep result: re-derives the grid from the
 /// spec and reads the sweep.* counters out of the merged registry, so it
 /// needs no per-unit state — O(1) in population size, byte-identical for
-/// any shard/worker count. Returns "" when the spec has no sweep.
+/// any shard count. Returns "" when the spec has no sweep.
 std::string render_yield_json(const ScenarioSpec& spec,
                               const core::CampaignResult& result);
 

@@ -122,7 +122,8 @@ struct Server::Job {
 struct Server::Connection {
   int fd = -1;
   FrameReader reader;
-  std::string out;  ///< bytes queued towards the client
+  std::string out;  ///< bytes queued towards the client; empty once sent
+  std::size_t out_pos = 0;  ///< bytes of `out` already sent
   bool streaming = false;
   std::uint64_t stream_job = 0;
   std::size_t stream_pos = 0;  ///< next log record to push
@@ -627,16 +628,22 @@ void Server::send_frame(Connection& c, const std::string& frame) {
 }
 
 void Server::flush_connection(Connection& c) {
-  while (!c.out.empty()) {
-    const ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+  // Advance a cursor instead of erasing the sent prefix: erasing copies
+  // the unsent rest on every partial send, which makes a multi-MB frame
+  // drained one socket buffer at a time quadratic.
+  while (c.out_pos < c.out.size()) {
+    const ssize_t n = ::send(c.fd, c.out.data() + c.out_pos,
+                             c.out.size() - c.out_pos, MSG_NOSIGNAL);
     if (n > 0) {
-      c.out.erase(0, static_cast<std::size_t>(n));
+      c.out_pos += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     c.dead = true;  // peer vanished mid-write
     return;
   }
+  c.out.clear();
+  c.out_pos = 0;
   if (c.closing) c.dead = true;
 }
 

@@ -1,6 +1,6 @@
 // Campaign-runner mechanics: unit ordering, error isolation, the
-// prototype-bus clone path, the external-bus device constructors, the
-// additive Registry merge, and the thread-safe aggregating live sink.
+// prototype-bus clone path, the external-bus device constructors and the
+// additive Registry merge.
 // The byte-identity guarantee across shard counts has its own suite in
 // test_campaign_determinism.cpp.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "core/campaign.hpp"
 #include "core/session.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/hub.hpp"
 #include "obs/registry.hpp"
 #include "si/bus.hpp"
@@ -250,32 +249,6 @@ TEST(Campaign, RegistryMergeNamesTheMismatchedHistogram) {
     EXPECT_NE(std::string(e.what()).find("\"op.tcks\""), std::string::npos)
         << e.what();
   }
-}
-
-TEST(Campaign, AggregatingSinkCollectsAcrossWorkers) {
-  // Real multi-threaded fan-in: 8 engine-driven units on 4 workers all
-  // feed one AggregatingSink. Its tck.total must equal the deterministic
-  // merged registry's (every StateEdge folded exactly once), and the
-  // per-worker strict hubs must not have tripped on interleaving,
-  // because the aggregate drops PlanEnd cross-check events.
-  CampaignConfig cfg;
-  cfg.shards = 4;
-  CampaignRunner runner(cfg);
-  core::SocConfig soc;
-  soc.n_wires = 4;
-  for (int i = 0; i < 8; ++i) {
-    runner.add_enhanced("enh" + std::to_string(i), soc,
-                        ObservationMethod::OnceAtEnd);
-  }
-  obs::AggregatingSink live;
-  runner.set_live_sink(&live);
-
-  const auto r = runner.run();
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(live.counter_value("tck.total"),
-            r.metrics.counter_value("tck.total"));
-  EXPECT_EQ(live.counter_value("session.enhanced"), 8u);
-  EXPECT_EQ(live.snapshot().counter_value("obs.consistency_errors"), 0u);
 }
 
 TEST(Campaign, RunIsRepeatable) {

@@ -311,25 +311,6 @@ TEST(CheckpointRunner, KeepEventsIsIncompatibleWithAggregateAndCheckpoint) {
   }
 }
 
-TEST(CheckpointRunner, RangeMustBeChunkAligned) {
-  FakeSource src(300);  // aggregated: 64-unit chunks
-  CampaignConfig cfg;
-  cfg.range_begin = 4;  // mid-chunk
-  cfg.range_end = 128;
-  EXPECT_THROW(run_once(src, cfg), std::invalid_argument);
-}
-
-TEST(CheckpointRunner, RangeRestrictedRunIsIncomplete) {
-  FakeSource src(300);
-  CampaignConfig cfg;
-  cfg.shards = 1;
-  cfg.range_begin = 64;
-  cfg.range_end = 192;
-  const CampaignResult r = run_once(src, cfg);
-  EXPECT_FALSE(r.complete);
-  EXPECT_EQ(r.units_run, 128u);
-}
-
 // ---- checkpoint + resume ----------------------------------------------------
 
 /// Run to completion with max_chunks-sized steps, then compare against
@@ -474,6 +455,41 @@ TEST(CheckpointRunner, ResumeRejectsV1Checkpoint) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointRunner, ResumeRejectsOutOfRangeChunkId) {
+  // The header matches this campaign exactly, so only the record's chunk
+  // id (== the chunk count) is wrong. Resume must throw before any unit
+  // runs instead of indexing past the per-chunk slots.
+  FakeSource src(300);  // five 64-unit chunks: ids 0..4
+  const std::string path = temp_path("chunk_oob.jsonl");
+  CampaignConfig cfg;
+  cfg.shards = 1;
+  cfg.checkpoint_path = path;
+  cfg.fingerprint = "spec-A";
+  cfg.resume = true;
+  CampaignRunner runner(cfg);
+  runner.set_source(&src);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    core::write_checkpoint_header(os, runner.checkpoint_header());
+    os << '\n';
+    core::ChunkRecord rec;
+    rec.chunk = 5;
+    rec.agg.units = 64;
+    core::write_chunk_record(os, rec);
+    os << '\n';
+  }
+  try {
+    (void)runner.run();
+    FAIL() << "an out-of-range chunk id must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk id out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(src.materialized(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRunner, CheckpointGrowsByOneLinePerChunk) {
   FakeSource src(256);  // four 64-unit chunks
   const std::string path = temp_path("growth.jsonl");
@@ -501,9 +517,9 @@ TEST(CheckpointRunner, CheckpointGrowsByOneLinePerChunk) {
   std::remove(path.c_str());
 }
 
-// ---- part merging (the multi-process assembly step) ------------------------
+// ---- hand-written checkpoint files ----------------------------------------
 
-/// One serialized chunk record line for synthetic part files.
+/// One serialized chunk record line for synthetic checkpoint files.
 std::string record_line(std::size_t chunk) {
   core::ChunkRecord rec;
   rec.chunk = chunk;
@@ -514,69 +530,13 @@ std::string record_line(std::size_t chunk) {
   return os.str();
 }
 
-core::CheckpointHeader part_header() {
+core::CheckpointHeader synthetic_header() {
   core::CheckpointHeader h;
-  h.fingerprint = "merge-test";
+  h.fingerprint = "synthetic";
   h.units = 6;
   h.chunk_size = 1;
   h.aggregate = true;
   return h;
-}
-
-/// Write a part file: a header plus `lines`, verbatim.
-void write_part(const std::string& path, const std::string& lines) {
-  core::CheckpointWriter writer;
-  writer.open(path, part_header(), /*resume_existing=*/false);
-  std::ofstream os(path, std::ios::binary | std::ios::app);
-  os << lines;
-}
-
-TEST(CheckpointMerge, TornPartTailIsDroppedNotReterminated) {
-  // The regression this pins: the old concatenation re-appended '\n' to
-  // a part's unterminated final line, turning the torn fragment into a
-  // "line" the loader chokes on — and load_checkpoint stops at the first
-  // unparseable line, silently discarding every later part's records. A
-  // torn tail must contribute nothing and cost nothing downstream.
-  const std::string a = temp_path("merge_a.part");
-  const std::string b = temp_path("merge_b.part");
-  const std::string dst = temp_path("merge.jsonl");
-  // Part A: one durable record, then a worker killed mid-append.
-  write_part(a, record_line(0) + "{\"chunk\":1,\"agg\":{\"uni");
-  // Part B: fully durable.
-  write_part(b, record_line(2) + record_line(3));
-
-  core::merge_checkpoint_parts(dst, part_header(), {a, b});
-  const core::CheckpointData data = core::load_checkpoint(dst);
-  ASSERT_EQ(data.records.size(), 3u)
-      << "part B's records must survive part A's torn tail";
-  EXPECT_EQ(data.records[0].chunk, 0u);
-  EXPECT_EQ(data.records[1].chunk, 2u);
-  EXPECT_EQ(data.records[2].chunk, 3u);
-
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(dst.c_str());
-}
-
-TEST(CheckpointMerge, PartWithTornHeaderContributesNothing) {
-  const std::string a = temp_path("merge_hdr_a.part");
-  const std::string b = temp_path("merge_hdr_b.part");
-  const std::string dst = temp_path("merge_hdr.jsonl");
-  {
-    // Killed before the header's newline made it out.
-    std::ofstream os(a, std::ios::binary);
-    os << "{\"schema\":\"jsi.checkpo";
-  }
-  write_part(b, record_line(1));
-
-  core::merge_checkpoint_parts(dst, part_header(), {a, b});
-  const core::CheckpointData data = core::load_checkpoint(dst);
-  ASSERT_EQ(data.records.size(), 1u);
-  EXPECT_EQ(data.records[0].chunk, 1u);
-
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  std::remove(dst.c_str());
 }
 
 TEST(Checkpoint, ResumeTruncatesTornTailBeforeAppending) {
@@ -587,7 +547,7 @@ TEST(Checkpoint, ResumeTruncatesTornTailBeforeAppending) {
   const std::string path = temp_path("glue.jsonl");
   {
     core::CheckpointWriter writer;
-    writer.open(path, part_header(), false);
+    writer.open(path, synthetic_header(), false);
   }
   {
     std::ofstream os(path, std::ios::binary | std::ios::app);
@@ -595,7 +555,7 @@ TEST(Checkpoint, ResumeTruncatesTornTailBeforeAppending) {
   }
   {
     core::CheckpointWriter writer;
-    writer.open(path, part_header(), /*resume_existing=*/true);
+    writer.open(path, synthetic_header(), /*resume_existing=*/true);
     core::ChunkRecord rec;
     rec.chunk = 2;
     rec.agg.units = 1;

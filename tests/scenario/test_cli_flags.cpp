@@ -63,7 +63,15 @@ TEST(CliFlags, NegativeUintIsRejectedNotWrapped) {
 
 TEST(CliFlags, ExplicitPlusSignIsRejected) {
   const ExecResult r =
-      run_cli("run \"" + scenario_file() + "\" --workers +2");
+      run_cli("run \"" + scenario_file() + "\" --max-chunks +2");
+  EXPECT_EQ(r.status, 2) << r.err;
+  EXPECT_NE(r.err.find("--max-chunks"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("positive integer"), std::string::npos) << r.err;
+}
+
+TEST(CliFlags, WorkersIsNotARunFlag) {
+  // Campaigns run in one process; parallelism is --shards alone.
+  const ExecResult r = run_cli("run \"" + scenario_file() + "\" --workers 2");
   EXPECT_EQ(r.status, 2) << r.err;
   EXPECT_NE(r.err.find("--workers"), std::string::npos) << r.err;
 }

@@ -4,8 +4,7 @@
 // the runner's aggregate-transcript threshold as a sweep sees it (report
 // and --profile agree on the folded totals), and the population-scale
 // determinism contract: report/metrics/yield byte-identical across
-// shard counts, across checkpoint kill/resume boundaries, and across
-// forked worker processes.
+// shard counts and across checkpoint kill/resume boundaries.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -350,19 +349,6 @@ TEST(SweepDeterminism, ResumeRejectsADifferentSpec) {
   rest.resume = true;
   EXPECT_THROW(scenario::run_scenario(reseeded, rest), std::runtime_error);
   std::remove(ckpt.c_str());
-}
-
-TEST(SweepDeterminism, ForkedWorkersByteIdentical) {
-  const ScenarioSpec spec = parse_scenario(small_sweep_doc());
-  scenario::RunOptions one;
-  one.shards = 1;
-  const scenario::ScenarioOutcome base = scenario::run_scenario(spec, one);
-
-  scenario::RunOptions multi;
-  multi.shards = 1;
-  multi.workers = 3;
-  expect_same_artifacts(base, scenario::run_scenario(spec, multi),
-                        "workers=3");
 }
 
 // ---- yield rendering --------------------------------------------------------

@@ -27,6 +27,7 @@
 
 #include "scenario/parse.hpp"
 #include "scenario/run.hpp"
+#include "scenario/serialize.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -119,10 +120,11 @@ class Daemon {
   std::string unix_path_;
 };
 
-json::Value make_submit(bool stream = false) {
+json::Value make_submit(bool stream = false,
+                        const std::string& text = scenario_text()) {
   json::Value v = json::Value::make_object();
   v.add("verb", json::Value::make_string("submit"));
-  v.add("scenario_text", json::Value::make_string(scenario_text()));
+  v.add("scenario_text", json::Value::make_string(text));
   if (stream) v.add("stream", json::Value::make_bool(true));
   return v;
 }
@@ -223,6 +225,33 @@ TEST(Serve, ConcurrentClientsAllGetByteIdenticalArtifacts) {
     EXPECT_EQ(reports[k], local.report_text) << "client " << k;
     EXPECT_EQ(metrics[k], local.metrics_json) << "client " << k;
   }
+}
+
+TEST(Serve, MultiMegabyteResultFrameArrivesByteIdentical) {
+  // campaign_8bit widened to 32 wires with TAP edge records on: a
+  // keep_events job whose result frame runs to several MB, so the daemon
+  // drains it over many partial sends on a non-blocking socket.
+  scenario::ScenarioSpec spec = scenario::parse_scenario(scenario_text());
+  spec.topology.n_wires = 32;
+  spec.obs.tap_edges = true;
+  const scenario::ScenarioOutcome local = scenario::run_scenario(spec, {});
+  ASSERT_GT(local.events_jsonl.size(), std::size_t{3} << 20);
+
+  Daemon d({});
+  Client c = d.client();
+  const json::Value sub =
+      c.request(make_submit(false, scenario::serialize(spec)));
+  ASSERT_TRUE(ok(sub));
+  const std::uint64_t id = job_id(sub);
+  wait_terminal(c, id);
+
+  const json::Value res = c.request(make_job_request("result", id));
+  ASSERT_TRUE(ok(res));
+  EXPECT_EQ(string_or(res, "state", ""), "done");
+  EXPECT_EQ(string_or(res, "report", ""), local.report_text);
+  EXPECT_EQ(string_or(res, "metrics", ""), local.metrics_json);
+  EXPECT_TRUE(string_or(res, "events", "") == local.events_jsonl)
+      << "events.jsonl differs after the round trip";
 }
 
 // -- admission and back-pressure ---------------------------------------------

@@ -3,7 +3,7 @@
 //
 //   jsi run <scenario.json> [--shards N] [--out DIR] [--progress]
 //           [--telemetry PATH] [--telemetry-interval MS] [--profile]
-//           [--workers N] [--checkpoint PATH] [--resume] [--max-chunks N]
+//           [--checkpoint PATH] [--resume] [--max-chunks N]
 //   jsi validate <scenario.json>
 //   jsi print <scenario.json>
 //
@@ -27,9 +27,8 @@
 // profile.txt under --out). Sweep-scale campaigns add --checkpoint (a
 // sidecar JSONL file recording every completed chunk), --resume (fold
 // the checkpoint's chunks instead of re-running them; final artifacts
-// byte-identical to an uninterrupted run), --max-chunks (stop after ~N
-// fresh chunks — an incremental step), and --workers N (fork N worker
-// processes over disjoint index ranges and merge deterministically).
+// byte-identical to an uninterrupted run) and --max-chunks (stop after
+// ~N fresh chunks — an incremental step).
 //
 // `serve` runs the campaign daemon (serve/server.hpp): a poll loop on a
 // unix or loopback-TCP socket admitting jobs onto a bounded FIFO queue
@@ -43,6 +42,8 @@
 //
 // Exit status: 0 clean, 1 when any unit failed, 2 on usage/parse/I-O
 // errors and daemon-side rejections (queue_full, draining, ...).
+
+#include <malloc.h>
 
 #include <csignal>
 #include <cstdlib>
@@ -100,7 +101,6 @@ constexpr FlagDef kFlags[] = {
     {"--checkpoint", true, kRun},
     {"--resume", false, kRun},
     {"--max-chunks", true, kRun},
-    {"--workers", true, kRun},
     {"--socket", true, kServe | kClientCmds},
     {"--port", true, kServe | kClientCmds},
     {"--pool", true, kServe},
@@ -121,7 +121,6 @@ struct Flags {
   std::string checkpoint_path;
   bool resume = false;
   std::size_t max_chunks = 0;
-  std::size_t workers = 0;
 
   std::string socket_path;
   std::optional<std::uint16_t> port;
@@ -137,8 +136,7 @@ int usage(std::ostream& os, int status) {
   os << "usage: jsi run <scenario.json> [--shards N] [--out DIR]\n"
         "               [--progress] [--telemetry PATH]\n"
         "               [--telemetry-interval MS] [--profile]\n"
-        "               [--workers N] [--checkpoint PATH] [--resume]\n"
-        "               [--max-chunks N]\n"
+        "               [--checkpoint PATH] [--resume] [--max-chunks N]\n"
         "       jsi validate <scenario.json>\n"
         "       jsi print <scenario.json>\n"
         "       jsi serve [--socket PATH | --port N] [--pool N]\n"
@@ -179,7 +177,6 @@ int cmd_run(const std::string& file, const Flags& flags) {
   opt.checkpoint_path = flags.checkpoint_path;
   opt.resume = flags.resume;
   opt.max_chunks = flags.max_chunks;
-  opt.workers = flags.workers;
   if (flags.telemetry_path || flags.telemetry_interval_ms) {
     // CLI telemetry flags layer on top of the spec's section; naming a
     // sink path turns the stream on.
@@ -227,6 +224,15 @@ extern "C" void drain_signal_handler(int) {
 }
 
 int cmd_serve(const Flags& flags) {
+#ifdef __GLIBC__
+  // The daemon keeps every finished job's outcome. With glibc's default
+  // of one malloc arena per thread, each pool worker's arena holds its
+  // jobs' multi-MB bus buffers freed between the outcomes it retained,
+  // so the daemon's resident size depended on which worker ran which
+  // job (peaks of 36 or 42 MB for one job sequence). One shared arena
+  // lets every job reuse the space any earlier job freed.
+  ::mallopt(M_ARENA_MAX, 1);
+#endif
   jsi::serve::ServerConfig cfg;
   cfg.unix_path = flags.socket_path;
   if (cfg.unix_path.empty()) {
@@ -534,9 +540,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-chunks") {
       if (!want_uint(v, true, "positive integer")) return 2;
       flags.max_chunks = static_cast<std::size_t>(v);
-    } else if (arg == "--workers") {
-      if (!want_uint(v, true, "positive integer")) return 2;
-      flags.workers = static_cast<std::size_t>(v);
     } else if (arg == "--progress") {
       flags.progress = true;
     } else if (arg == "--profile") {
