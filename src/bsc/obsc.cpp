@@ -31,18 +31,31 @@ util::Logic Obsc::parallel_out(const jtag::CellCtl& c) const {
   return c.mode ? util::to_logic(ff2_) : pin_;
 }
 
-void Obsc::observe(si::WaveformView w, util::Logic initial,
-                   util::Logic expected, const jtag::CellCtl& c) {
+template <class NdVerdict, class SdVerdict>
+void Obsc::latch(NdVerdict&& nd_v, SdVerdict&& sd_v, const jtag::CellCtl& c) {
   nd_.set_enable(c.ce);
   sd_.set_enable(c.ce);
   const bool nd_was = nd_.flag();
   const bool sd_was = sd_.flag();
-  nd_.observe(w, initial, expected);
-  sd_.observe(w, initial, expected);
+  nd_.observe_verdict(nd_v);
+  sd_.observe_verdict(sd_v);
   if (sink_) {
     if (!nd_was && nd_.flag()) fire("ND");
     if (!sd_was && sd_.flag()) fire("SD");
   }
+}
+
+void Obsc::observe(si::WaveformView w, util::Logic initial,
+                   util::Logic expected, const jtag::CellCtl& c) {
+  latch([&] { return nd_.violates(w, initial, expected); },
+        [&] { return sd_.violates(w, initial, expected); }, c);
+}
+
+void Obsc::observe(const si::CoupledBus& bus, const si::TransitionBatch& b,
+                   std::size_t wire, util::Logic initial,
+                   util::Logic expected, const jtag::CellCtl& c) {
+  latch([&] { return bus.violates(b, wire, nd_, initial, expected); },
+        [&] { return bus.violates(b, wire, sd_, initial, expected); }, c);
 }
 
 void Obsc::fire(const char* which) {

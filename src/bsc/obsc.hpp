@@ -5,8 +5,8 @@
 
 #include "jtag/cell.hpp"
 #include "obs/events.hpp"
+#include "si/bus.hpp"
 #include "si/detectors.hpp"
-#include "si/waveform.hpp"
 
 namespace jsi::bsc {
 
@@ -41,10 +41,16 @@ class Obsc : public jtag::BoundaryCell {
   /// wire's driven logic level before this bus transition; `expected` the
   /// level after it. Honors CE: with c.ce == false the sticky flags are
   /// untouched ("the captured data in their flip-flops remain unchanged").
-  /// Takes a non-owning view so the batched bus path feeds arena/table
-  /// storage straight to the sensors with no copies.
+  /// A sensor whose flag is already set scans nothing.
   void observe(si::WaveformView w, util::Logic initial,
                util::Logic expected, const jtag::CellCtl& c);
+
+  /// The same for wire `wire` of bus transition `b` (the latest
+  /// `bus.transition_batch()`): each sensor latches `bus.violates(...)`,
+  /// so a stored waveform is scanned once per slot and sensor params.
+  void observe(const si::CoupledBus& bus, const si::TransitionBatch& b,
+               std::size_t wire, util::Logic initial, util::Logic expected,
+               const jtag::CellCtl& c);
 
   const si::NdCell& nd() const { return nd_; }
   const si::SdCell& sd() const { return sd_; }
@@ -62,6 +68,11 @@ class Obsc : public jtag::BoundaryCell {
   }
 
  private:
+  /// The one CE / sticky / DetectorFired path of both observe() forms:
+  /// `nd_v()` and `sd_v()` give the sensors' verdicts on the waveform.
+  template <class NdVerdict, class SdVerdict>
+  void latch(NdVerdict&& nd_v, SdVerdict&& sd_v, const jtag::CellCtl& c);
+
   void fire(const char* which);
 
   si::NdCell nd_;

@@ -354,18 +354,6 @@ CampaignResult CampaignRunner::run() {
         break;
       }
 
-      // One prototype clone per chunk: units inside the chunk clone from
-      // this worker-local copy instead of the shared campaign prototype.
-      // A clone of a clone is state-identical, so observable behaviour
-      // (memoization hits included) is unchanged — this only moves the
-      // clone source into the worker's cache.
-      std::optional<si::CoupledBus> chunk_proto;
-      const si::CoupledBus* proto = prototype_;
-      if (prototype_ != nullptr) {
-        chunk_proto.emplace(prototype_->clone());
-        proto = &*chunk_proto;
-      }
-
       ChunkRecord rec;
       rec.chunk = c;
       const std::size_t lo = c * chunk_size;
@@ -392,7 +380,9 @@ CampaignResult CampaignRunner::run() {
                   .count()));
           tp->begin_unit(unit->name.c_str());
         }
-        CampaignContext ctx(hub, worker_id, i, proto);
+        // Units clone straight from the shared prototype: clone() only
+        // reads it, and nothing mutates it during run().
+        CampaignContext ctx(hub, worker_id, i, prototype_);
         UnitOutcome out;
         try {
           out = unit->run(ctx);

@@ -325,8 +325,9 @@ class CampaignRunner {
 
   /// The chunk width run() will schedule with: 1 for a per-unit campaign
   /// (the historic per-unit merge grouping), 64 for an aggregated one,
-  /// where claiming whole index ranges (one atomic increment and one
-  /// prototype clone per chunk) amortizes dispatch at sweep scale. A pure
+  /// where claiming whole index ranges (one atomic increment, one
+  /// checkpoint record and one registry fold per chunk) amortizes
+  /// dispatch at sweep scale. A pure
   /// function of the unit count — never of the shard count — because the
   /// chunk layout fixes the FP summation grouping of the merged registry.
   /// checkpoint_header() records it so a resume can check the layout.

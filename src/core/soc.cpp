@@ -242,16 +242,16 @@ void SiSocDevice::apply_bus(bool observe) {
     }
     // One batched lookup for the whole bus: every wire is served from the
     // bus's waveform store (MA windows prefilled, others solved on a miss)
-    // and the sensors scan zero-copy views.
+    // and the sensors latch the store's per-slot verdicts, so a stored
+    // waveform is scanned once per detector params, not per transition.
     si::CoupledBus& wires = bus(b);
     const si::TransitionBatch batch = wires.transition_batch(prev, cur);
     for (std::size_t i = 0; i < n; ++i) {
-      const si::WaveformView w = batch.wire(i);
       if (observe) {
-        obsc[i]->observe(w, util::to_logic(prev[i]), util::to_logic(cur[i]),
-                         ctl_);
+        obsc[i]->observe(wires, batch, i, util::to_logic(prev[i]),
+                         util::to_logic(cur[i]), ctl_);
       }
-      obsc[i]->set_parallel_in(wires.settled_logic(w));
+      obsc[i]->set_parallel_in(wires.settled_logic(batch.wire(i)));
     }
   }
 }

@@ -52,7 +52,7 @@ void CoupledBus::clear_cache() {
   prefill_ = {};
   fifo_ = {};
   slot_of_ = {};
-  slot_key_ = {};
+  slots_ = {};
   store_gen_ = kStaleGeneration;
 }
 
@@ -73,7 +73,7 @@ void CoupledBus::sync_store() const {
   const std::size_t samples = model_.params().samples;
   prefill_.clear();
   fifo_.clear();
-  slot_key_.clear();
+  slots_.clear();
   prefill_slots_ = 0;
   slot_of_.assign(n << 10, kNoSlot);  // neighborhood_key < n * 2^10
   fifo_inserts_ = 0;
@@ -81,10 +81,10 @@ void CoupledBus::sync_store() const {
 
   // Prefill, in two passes. The first marks every window of the MA set
   // so prefill_ is sized once: growing it slot by slot would reallocate
-  // and copy it several times on every fresh bus. The second evaluates
-  // each pair that still has an unfilled window and keeps those windows.
-  // Across the set most windows repeat, so the prefill holds far fewer
-  // than 6*n*n waveforms.
+  // and copy it several times on every fresh bus. The second solves each
+  // still-unfilled window straight into its slot. Across the set most
+  // windows repeat, so the prefill holds far fewer than 6*n*n waveforms
+  // (220 at 8 wires), and each is solved once.
   if (n <= kMaxPrefillWires) {
     std::vector<mafm::VectorPair> pairs;
     std::size_t windows = 0;
@@ -101,21 +101,16 @@ void CoupledBus::sync_store() const {
         }
       }
     }
-    prefill_.reserve(windows * samples);
-    std::vector<double> block(n * samples);
+    prefill_.resize(windows * samples);
+    slots_.reserve(windows);
     for (const mafm::VectorPair& vp : pairs) {
-      bool evaluated = false;
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t key = neighborhood_key(n, i, vp.v1, vp.v2);
         if (slot_of_[key] != kUnfilled) continue;
-        if (!evaluated) {
-          kernel_.evaluate(model_, vp.v1, vp.v2, block.data());
-          evaluated = true;
-        }
+        double* dst = prefill_.data() + prefill_slots_ * samples;
+        TransitionKernel::solve_wire(model_, i, vp.v1, vp.v2, dst);
         slot_of_[key] = static_cast<std::uint32_t>(prefill_slots_++);
-        slot_key_.push_back(key);
-        prefill_.insert(prefill_.end(), block.data() + i * samples,
-                        block.data() + (i + 1) * samples);
+        slots_.push_back(Slot{key, {}, {}});
       }
     }
   }
@@ -145,13 +140,13 @@ std::uint32_t CoupledBus::lookup(std::size_t i, const util::BitVec& prev,
                                  fifo_inserts_ % kMaxCacheEntries);
   if (fifo_inserts_ < kMaxCacheEntries) {
     fifo_.resize(fifo_.size() + model_.params().samples);
-    slot_key_.push_back(key);
+    slots_.push_back(Slot{key, {}, {}});
   } else {
     // Bounded FIFO: recycle the oldest slot — unless the caller still
     // reads it.
     if (std::find(held, held + n_held, s) != held + n_held) return kNoSlot;
-    slot_of_[slot_key_[s]] = kNoSlot;
-    slot_key_[s] = key;
+    slot_of_[slots_[s].key] = kNoSlot;
+    slots_[s] = Slot{key, {}, {}};  // a recycled slot's verdicts are stale
   }
   slot_of_[key] = s;
   ++fifo_inserts_;
@@ -212,10 +207,44 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
 
   TransitionBatch b;
   b.ptrs = batch_ptrs_.data();
+  b.slots = batch_slots_.data();
   b.n_wires = n;
   b.samples = samples;
   b.dt = model_.params().sample_dt;
   return b;
+}
+
+template <class Cell, class Params>
+bool CoupledBus::verdict(Verdict<Params> Slot::*field,
+                         const TransitionBatch& b, std::size_t i,
+                         const Cell& cell, util::Logic initial,
+                         util::Logic expected) const {
+  const std::uint32_t s = b.slots[i];
+  // A record answers only for its slot's own driven levels: the centre
+  // bits of the key's prev and next windows.
+  if (s == kNoSlot ||
+      initial != util::to_logic(((slots_[s].key >> 7) & 1u) != 0) ||
+      expected != util::to_logic(((slots_[s].key >> 2) & 1u) != 0)) {
+    return cell.violates(b.wire(i), initial, expected);
+  }
+  Verdict<Params>& v = slots_[s].*field;
+  if (v.value < 0 || !(v.params == cell.params())) {
+    v.params = cell.params();
+    v.value = cell.violates(b.wire(i), initial, expected) ? 1 : 0;
+  }
+  return v.value != 0;
+}
+
+bool CoupledBus::violates(const TransitionBatch& b, std::size_t i,
+                          const NdCell& cell, util::Logic initial,
+                          util::Logic expected) const {
+  return verdict(&Slot::nd, b, i, cell, initial, expected);
+}
+
+bool CoupledBus::violates(const TransitionBatch& b, std::size_t i,
+                          const SdCell& cell, util::Logic initial,
+                          util::Logic expected) const {
+  return verdict(&Slot::sd, b, i, cell, initial, expected);
 }
 
 util::Logic CoupledBus::settled_logic(WaveformView w) const {

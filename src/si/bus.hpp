@@ -7,6 +7,7 @@
 
 #include "obs/events.hpp"
 #include "si/bus_model.hpp"
+#include "si/detectors.hpp"
 #include "si/kernel.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
@@ -37,11 +38,12 @@ namespace jsi::si {
 /// increase in coupling capacitances".
 ///
 /// Internally this is a facade over three components: an immutable-between-
-/// mutations `BusModel` (SoA electrical state), a `TransitionKernel`
-/// (batched flat-pass solver with a scalar reference path) and one
-/// waveform store: a pool of solved per-wire waveforms keyed by
-/// `neighborhood_key`, prefilled with the 6*n MA vector pairs per defect
-/// generation. The hot path is `transition_batch()`; `wire_response()` /
+/// mutations `BusModel` (SoA electrical state), the one per-wire solver
+/// (`TransitionKernel::solve_wire`) and one waveform store: a pool of
+/// solved per-wire waveforms keyed by `neighborhood_key`, prefilled with
+/// the windows of the 6*n MA vector pairs per defect generation, each
+/// slot carrying its ND/SD verdict record. The hot path is
+/// `transition_batch()` plus `violates()`; `wire_response()` /
 /// `transition()` are the owning scalar API over the same store.
 class CoupledBus {
  public:
@@ -122,6 +124,17 @@ class CoupledBus {
   TransitionBatch transition_batch(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
+  /// Would `cell` flag wire `i` of `b` — this bus's latest
+  /// transition_batch() — for a wire driven `initial` -> `expected`?
+  /// Exactly `cell.violates(b.wire(i), initial, expected)`; for a stored
+  /// wire the answer comes from its slot's verdict record, scanned once
+  /// per slot and cell params. A scratch wire (no slot), and levels other
+  /// than the slot's own transition, are scanned every call.
+  bool violates(const TransitionBatch& b, std::size_t i, const NdCell& cell,
+                util::Logic initial, util::Logic expected) const;
+  bool violates(const TransitionBatch& b, std::size_t i, const SdCell& cell,
+                util::Logic initial, util::Logic expected) const;
+
   /// Logic value a receiver reads once the waveform settles (the
   /// interconnect model's receiver threshold on the final sample —
   /// vdd/2 for rc_full_swing, the level-converter Vt for low_swing).
@@ -143,8 +156,16 @@ class CoupledBus {
   // add_series_resistance, inject_crosstalk_defect, clear_defects) bumps
   // `defect_generation()`. The store belongs to one generation and is
   // flushed wholesale on the first lookup after a bump; that lookup also
-  // prefills the MA set (see precompile_tables). Hit/miss counters
-  // survive invalidation (they meter the workload, not the contents).
+  // prefills the MA set, solving each window of it once (see
+  // precompile_tables). Hit/miss counters survive invalidation (they
+  // meter the workload, not the contents).
+  //
+  // Verdict rule: beside each slot sits one ND and one SD verdict record
+  // — the last NdParams / SdParams asked about the slot's waveform and
+  // the cell's answer (`violates()`). A record is reset whenever its
+  // slot is filled: by the prefill, by a miss, by a FIFO recycle, and
+  // by the flush of a generation. So a stored waveform is scanned once
+  // per detector parameter set, however often a session re-applies it.
   //
   // Capacity rule: the prefilled MA slots stay for the generation; other
   // waveforms share kMaxCacheEntries slots recycled as a bounded FIFO
@@ -212,7 +233,7 @@ class CoupledBus {
   static constexpr std::size_t kMaxPrefillWires = 64;
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoSlot = TransitionBatch::kNoSlot;
   static constexpr std::uint32_t kUnfilled = 0xfffffffeu;  // prefill mark
   // store_gen_ of a flushed store: no defect generation reaches it.
   static constexpr std::uint64_t kStaleGeneration = ~std::uint64_t{0};
@@ -232,6 +253,26 @@ class CoupledBus {
                        const util::BitVec& next, const std::uint32_t* held,
                        std::size_t n_held) const;
 
+  /// One detector verdict record: the last params asked and the answer.
+  template <class Params>
+  struct Verdict {
+    Params params{};
+    std::int8_t value = -1;  // -1: not scanned since the slot was filled
+  };
+
+  /// Bookkeeping beside a slot's samples; a slot fill resets it whole.
+  struct Slot {
+    std::uint64_t key = 0;
+    Verdict<NdParams> nd;
+    Verdict<SdParams> sd;
+  };
+
+  /// The verdict record `field` of wire i's slot, scanning on a miss.
+  template <class Cell, class Params>
+  bool verdict(Verdict<Params> Slot::*field, const TransitionBatch& b,
+               std::size_t i, const Cell& cell, util::Logic initial,
+               util::Logic expected) const;
+
   double* slot_data(std::uint32_t s) const {
     const std::size_t samples = model_.params().samples;
     return s < prefill_slots_ ? prefill_.data() + s * samples
@@ -247,14 +288,13 @@ class CoupledBus {
   mutable std::vector<double> prefill_;
   mutable std::vector<double> fifo_;
   mutable std::vector<std::uint32_t> slot_of_;  // neighborhood_key -> slot
-  mutable std::vector<std::uint64_t> slot_key_;  // slot -> key
+  mutable std::vector<Slot> slots_;  // slot -> key and verdict records
   mutable std::size_t prefill_slots_ = 0;
   mutable std::size_t fifo_inserts_ = 0;  // FIFO slots claimed since flush
   mutable std::uint64_t store_gen_ = kStaleGeneration;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 
-  mutable TransitionKernel kernel_;
   mutable std::vector<double> scratch_;  // n*samples: unstored wires
   mutable std::vector<std::uint32_t> batch_slots_;
   mutable std::vector<const double*> batch_ptrs_;

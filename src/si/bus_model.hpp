@@ -46,8 +46,8 @@ struct BusParams {
 ///
 /// `BusModel` is the passive half of the former monolithic `CoupledBus`:
 /// it answers "what are the time constants of wire i right now" but never
-/// evaluates a waveform — that is `TransitionKernel`'s job, reading the
-/// contiguous per-wire arrays below in one flat pass. The model is
+/// evaluates a waveform — that is `TransitionKernel::solve_wire`'s job,
+/// reading the contiguous per-wire arrays below. The model is
 /// immutable between defect mutations; every mutation bumps
 /// `defect_generation()` and rebuilds the derived arrays, which is what
 /// lets the bus's waveform store key its validity off a single integer

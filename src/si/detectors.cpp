@@ -55,8 +55,7 @@ bool NdCell::violates(WaveformView w, Logic initial,
 }
 
 void NdCell::observe(WaveformView w, Logic initial, Logic expected) {
-  if (!ce_) return;
-  if (violates(w, initial, expected)) flag_ = true;
+  observe_verdict([&] { return violates(w, initial, expected); });
 }
 
 std::optional<sim::Time> SdCell::arrival_time(WaveformView w) const {
@@ -73,8 +72,7 @@ bool SdCell::violates(WaveformView w, Logic initial,
 }
 
 void SdCell::observe(WaveformView w, Logic initial, Logic expected) {
-  if (!ce_) return;
-  if (violates(w, initial, expected)) flag_ = true;
+  observe_verdict([&] { return violates(w, initial, expected); });
 }
 
 }  // namespace jsi::si

@@ -24,6 +24,8 @@ struct NdParams {
   double v_hmin_frac = 0.35;     ///< deviation below which it releases
   double overshoot_frac = 0.25;  ///< excursion beyond the rail (> Vdd or
                                  ///< < GND) that also counts as noise
+
+  bool operator==(const NdParams&) const = default;
 };
 
 /// Behavioural Noise Detector (ND) cell.
@@ -47,9 +49,19 @@ class NdCell {
   /// after (`expected`) the transition. Passing the *driven* final level —
   /// rather than inferring it from the waveform — lets the cell flag a
   /// line that erroneously settles at the wrong rail (e.g. a slow droop).
-  /// Takes a non-owning view so batched (store-backed) waveforms
-  /// are scanned without copies; an owning `Waveform` converts implicitly.
+  /// Takes a non-owning view so store-backed waveforms are scanned
+  /// without copies; an owning `Waveform` converts implicitly. Once the
+  /// flag is set there is nothing left to latch, so nothing is scanned.
   void observe(WaveformView w, util::Logic initial, util::Logic expected);
+
+  /// observe() with the scan done elsewhere: `verdict()` must return what
+  /// violates() gives for the observed waveform (e.g.
+  /// `CoupledBus::violates`, served from a store slot's verdict record).
+  /// It is called only while the cell is enabled and its flag is clear.
+  template <class Verdict>
+  void observe_verdict(Verdict&& verdict) {
+    if (ce_ && !flag_ && verdict()) flag_ = true;
+  }
 
   /// Pure query: would this waveform set the flag? (No state change.)
   bool violates(WaveformView w, util::Logic initial,
@@ -79,6 +91,8 @@ struct SdParams {
   double vdd = 1.8;
   sim::Time skew_budget = 150 * sim::kPs;  ///< skew-immune window
   double vth_frac = 0.5;                   ///< receiver threshold
+
+  bool operator==(const SdParams&) const = default;
 };
 
 /// Behavioural Skew Detector (SD) cell with a sticky violation flip-flop.
@@ -93,7 +107,14 @@ class SdCell {
 
   /// Scan `w` for a wire whose driven value changed from `initial` to
   /// `expected` this cycle. Quiet wires are ND territory and are ignored.
+  /// Like NdCell::observe, a set flag skips the scan.
   void observe(WaveformView w, util::Logic initial, util::Logic expected);
+
+  /// observe() with the scan done elsewhere (see NdCell::observe_verdict).
+  template <class Verdict>
+  void observe_verdict(Verdict&& verdict) {
+    if (ce_ && !flag_ && verdict()) flag_ = true;
+  }
 
   /// Pure query form of observe().
   bool violates(WaveformView w, util::Logic initial,

@@ -4,11 +4,6 @@
 
 namespace jsi::si {
 
-void TransitionKernel::evaluate(const BusModel& m, const util::BitVec& prev,
-                                const util::BitVec& next, double* out) {
-  model_for(m.params().model).evaluate(m, prev, next, scratch_, out);
-}
-
 void TransitionKernel::solve_wire(const BusModel& m, std::size_t i,
                                   const util::BitVec& prev,
                                   const util::BitVec& next, double* out) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "si/bus_model.hpp"
 #include "si/model.hpp"
@@ -19,7 +18,14 @@ namespace jsi::si {
 /// `CoupledBus`'s next `transition_batch` call, defect mutation, clone or
 /// destruction.
 struct TransitionBatch {
+  /// slots[i] of a wire solved into the bus's scratch block (no store
+  /// slot): a disabled store, or a miss that could not take a slot.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
   const double* const* ptrs = nullptr;  ///< ptrs[i] = wire i's samples
+  /// slots[i] = wire i's store slot, or kNoSlot. The owning bus keys its
+  /// per-slot ND/SD verdict records by it (`CoupledBus::violates`).
+  const std::uint32_t* slots = nullptr;
   std::size_t n_wires = 0;
   std::size_t samples = 0;
   sim::Time dt = sim::kPs;
@@ -29,43 +35,22 @@ struct TransitionBatch {
   }
 };
 
-/// Stateless-per-call waveform solver over a `BusModel`'s SoA arrays —
-/// a thin dispatcher onto the bus's selected `InterconnectModel`.
+/// The one waveform solver over a `BusModel`'s SoA arrays — a thin
+/// dispatcher onto the bus's selected `InterconnectModel`.
 ///
-/// `evaluate()` produces all n wires of one transition into a single
-/// contiguous `n * samples` block (wire i at `out + i*samples`); the
-/// model's pass 1 classifies every wire and computes the switching time
-/// constants into the reusable `KernelScratch`, pass 2 fills the sample
-/// block wire-by-wire with tight per-sample loops.
-///
-/// `solve_wire()` is the scalar reference path: it evaluates one wire
-/// exactly as the pre-batching `CoupledBus` solver did. Every model's
-/// two paths share the same non-inlined solver primitives
-/// (`switching_tau`, the fill and glitch loops), so batched and scalar
-/// results are bit-for-bit identical by construction — the differential
-/// suites in tests/si/test_bus_properties.cpp and tests/si/test_models.cpp
-/// pin this with EXPECT_EQ on doubles for every registered model.
-///
-/// The only heap state is the reusable pass-1 scratch (sized n, amortized
-/// to zero allocations in steady state); sample storage is provided by
-/// the caller (the bus's waveform store or scratch block).
+/// `solve_wire()` fills one wire's waveform of one transition. The
+/// waveform store (`CoupledBus`) solves every stored and every scratch
+/// waveform through it, the MA prefill included, so a waveform's bytes
+/// never depend on which path asked for it. Stateless: sample storage
+/// is provided by the caller (a store slot or the bus's scratch block).
 class TransitionKernel {
  public:
-  /// Fill `out[0 .. n*samples)` with all wire waveforms of prev -> next.
+  /// Fill `out[0 .. samples)` with wire `i`'s waveform of prev -> next.
   /// Width of the vectors must equal `m.n()` (unchecked here; the
   /// `CoupledBus` facade validates).
-  void evaluate(const BusModel& m, const util::BitVec& prev,
-                const util::BitVec& next, double* out);
-
-  /// Scalar reference: fill `out[0 .. samples)` with wire `i`'s waveform.
   static void solve_wire(const BusModel& m, std::size_t i,
                          const util::BitVec& prev, const util::BitVec& next,
                          double* out);
-
- private:
-  // Pass-1 SoA scratch, reused across evaluate() calls and handed to the
-  // model so the indirection adds no per-call allocations.
-  KernelScratch scratch_;
 };
 
 /// Store key of wire `i` under transition prev -> next: the wire index plus

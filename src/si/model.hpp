@@ -12,15 +12,6 @@
 
 namespace jsi::si {
 
-/// Reusable pass-1 scratch for a model's batched `evaluate()`: per-wire
-/// transition classification and switching time constants. Owned by the
-/// caller (`TransitionKernel`) so the amortized-zero-allocation property
-/// of the batched path survives the model indirection.
-struct KernelScratch {
-  std::vector<int> delta;    // per wire: next - prev in {-1, 0, +1}
-  std::vector<double> tau;   // per switching wire: effective R*C [s]
-};
-
 /// The pluggable electrical policy of a bus: everything about a
 /// `CoupledBus` that depends on *how the wire is driven and received*
 /// lives behind this interface, while the model-agnostic machinery —
@@ -28,11 +19,13 @@ struct KernelScratch {
 /// by every model.
 ///
 /// Contract for implementations:
-///  * `evaluate()` and `solve_wire()` must agree bit-for-bit. The way to
-///    get that is the same discipline the RC model uses: route every
-///    floating-point step that both paths execute through the shared
-///    `JSI_NOINLINE` primitives in solver_primitives.hpp (or your own
-///    noinline helpers), so the compiler emits one copy of the math.
+///  * `solve_wire()` is the one solver: the waveform store's MA prefill,
+///    its misses and its disabled (scratch) path all call it, so a
+///    waveform has one byte pattern whichever path produced it. Route
+///    its floating-point steps through the shared `JSI_NOINLINE`
+///    primitives in solver_primitives.hpp (or your own noinline
+///    helpers), as the RC model does, so the compiler emits one copy of
+///    the math whatever the inline context.
 ///  * Implementations are immutable singletons (`model_for` returns a
 ///    shared const instance); all per-bus state lives in `BusModel`.
 ///  * `validate()` throws std::invalid_argument for bad model-specific
@@ -74,14 +67,7 @@ class InterconnectModel {
   /// its skew-immune window from. Includes any fixed receiver delay.
   virtual sim::Time nominal_delay(const BusParams& p, double tau) const = 0;
 
-  /// Batched solver: fill `out[0 .. n*samples)` with all wire waveforms
-  /// of prev -> next (wire i at `out + i*samples`).
-  virtual void evaluate(const BusModel& m, const util::BitVec& prev,
-                        const util::BitVec& next, KernelScratch& scratch,
-                        double* out) const = 0;
-
-  /// Scalar reference: fill `out[0 .. samples)` with wire `i`'s waveform,
-  /// bit-identical to the corresponding `evaluate()` slice.
+  /// Fill `out[0 .. samples)` with wire `i`'s waveform of prev -> next.
   virtual void solve_wire(const BusModel& m, std::size_t i,
                           const util::BitVec& prev, const util::BitVec& next,
                           double* out) const = 0;

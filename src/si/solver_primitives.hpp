@@ -6,11 +6,12 @@
 #include "si/bus_model.hpp"
 #include "util/bitvec.hpp"
 
-// The batched and scalar paths of every interconnect model must agree
-// bit-for-bit, including under -march=native where the compiler may
+// A waveform's bytes must not depend on the inline context of the code
+// that solved it, including under -march=native where the compiler may
 // contract a*b+c into FMA differently per inline context. Keeping the
 // shared solver primitives out-of-line in one translation unit
-// guarantees all callers execute the same machine code.
+// guarantees every model's solve_wire() executes the same machine code
+// for the shared math.
 #if defined(__GNUC__) || defined(__clang__)
 #define JSI_NOINLINE __attribute__((noinline))
 #else

@@ -12,7 +12,7 @@ namespace jsi::si {
 
 /// Non-owning view of a uniformly sampled voltage waveform.
 ///
-/// The batched transition kernel writes wire samples into the bus's
+/// The transition kernel writes wire samples into the bus's
 /// waveform store; a `WaveformView` is the 3-word handle (pointer,
 /// length, dt) the detectors and metrics scan without copying. It carries
 /// the full read-side API of `Waveform`, and a `Waveform` converts to a

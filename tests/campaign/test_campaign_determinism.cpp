@@ -171,6 +171,46 @@ TEST(CampaignDeterminism, CacheCountersShardInvariantViaPrototypeClone) {
   }
 }
 
+TEST(CampaignDeterminism, AggregatedCampaignSharesTheWarmPrototype) {
+  // Past the transcript threshold every worker clones its units straight
+  // from the one shared prototype, concurrently. The merged registry —
+  // bus.cache_* included — must not depend on the shard count.
+  const si::CoupledBus proto = warmed_prototype();
+  std::string text1;
+  std::string json1;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    CampaignConfig cfg;
+    cfg.shards = shards;
+    CampaignRunner runner(cfg);
+    runner.set_prototype_bus(&proto);
+    for (std::size_t u = 0; u < core::kTranscriptThreshold + 72; ++u) {
+      core::BusSetup defect;
+      if (u % 3 == 0) {
+        defect = [u](si::CoupledBus& b) {
+          b.inject_crosstalk_defect(u % 4, 1.0 + static_cast<double>(u % 7));
+        };
+      }
+      runner.add_enhanced("u" + std::to_string(u), soc_cfg(4),
+                          ObservationMethod::OnceAtEnd, defect);
+    }
+    ASSERT_TRUE(runner.aggregated());
+    const CampaignResult r = runner.run();
+    ASSERT_EQ(r.failures, 0u);
+    if (shards == 1) {
+      text1 = r.to_text();
+      json1 = r.metrics.to_json();
+      EXPECT_GT(r.violations, 0u) << "the defective units must flag";
+      EXPECT_GT(r.metrics.counter_value("bus.cache_hits"), 0u)
+          << "units must start from the warm prototype";
+      EXPECT_GT(r.metrics.counter_value("bus.cache_misses"), 0u);
+    } else {
+      EXPECT_EQ(r.shards_used, shards);
+      EXPECT_EQ(r.to_text(), text1) << shards << " shards";
+      EXPECT_EQ(r.metrics.to_json(), json1) << shards << " shards";
+    }
+  }
+}
+
 TEST(CampaignDeterminism, BooksAgreeAtCampaignScale) {
   // dry_run_cost over the same plans == summed unit outcomes == merged
   // registry totals, on a multi-shard run of the engine-driven kinds.

@@ -1,10 +1,14 @@
 // Tests for the CoupledBus waveform store: stored waveforms against the
 // raw solver, hit/miss metering, the MA prefill, the defect-generation
-// invalidation contract, bounded-FIFO slot reuse, clone warm-carry and
-// the disabled (scalar reference) path.
+// invalidation contract, bounded-FIFO slot reuse, clone warm-carry, the
+// disabled (scalar reference) path and the per-slot ND/SD verdict
+// records.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -552,6 +556,296 @@ TEST(BusStore, SettledLogicUnaffected) {
       EXPECT_EQ(stored.settled_logic(a[i]), raw.settled_logic(b[i]));
     }
   }
+}
+
+
+// ---- per-slot ND/SD verdict records ------------------------------------
+
+using util::Logic;
+
+/// A fraction f with f * vdd == level exactly (searched a few ulps around
+/// level / vdd), so a threshold lands exactly on a stored sample.
+std::optional<double> exact_frac(double level, double vdd) {
+  double f = level / vdd;
+  for (int k = 0; k < 16; ++k) {
+    const double got = f * vdd;
+    if (got == level) return f;
+    f = std::nextafter(f, got < level
+                              ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity());
+  }
+  return std::nullopt;
+}
+
+/// Random ND/SD params around the defaults.
+NdParams random_nd(util::Prng& rng, double vdd) {
+  NdParams p;
+  p.vdd = vdd;
+  p.v_hthr_frac = 0.02 + 0.7 * rng.next_double();
+  p.v_hmin_frac = p.v_hthr_frac * rng.next_double();
+  p.overshoot_frac = rng.next_bool(0.2) ? 0.0 : 0.3 * rng.next_double();
+  return p;
+}
+
+SdParams random_sd(util::Prng& rng, double vdd) {
+  SdParams p;
+  p.vdd = vdd;
+  p.skew_budget = static_cast<sim::Time>(20 + rng.next_below(400));
+  p.vth_frac = 0.2 + 0.6 * rng.next_double();
+  return p;
+}
+
+/// Wire i's driven levels under prev -> next.
+Logic before(const mafm::VectorPair& vp, std::size_t i) {
+  return util::to_logic(vp.v1[i]);
+}
+Logic after(const mafm::VectorPair& vp, std::size_t i) {
+  return util::to_logic(vp.v2[i]);
+}
+
+TEST(BusVerdicts, RecordsMatchTheScanIncludingExactThresholds) {
+  // Every wire of every MA transition on a defective bus, under random
+  // params and under params placed exactly on one of the wire's stored
+  // samples (ND arm and release, SD vth): the stored bus's verdict —
+  // first asked (scanned into the record) and asked again (served from
+  // it) — equals the direct scan and the store-off twin's verdict.
+  const std::size_t n = 8;
+  const BusParams p = params_n(n, 512);
+  CoupledBus bus(p);
+  CoupledBus raw = scalar_twin(p);
+  for (CoupledBus* b : {&bus, &raw}) b->inject_crosstalk_defect(3, 6.0);
+
+  util::Prng rng(0xD17Eu);
+  std::size_t exact = 0;
+  std::size_t nd_fired = 0;
+  std::size_t sd_fired = 0;
+  for (const mafm::VectorPair& vp : ma_pairs(n)) {
+    const TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
+    const TransitionBatch r = raw.transition_batch(vp.v1, vp.v2);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_NE(b.slots[i], TransitionBatch::kNoSlot);
+      ASSERT_EQ(r.slots[i], TransitionBatch::kNoSlot);
+      const WaveformView w = b.wire(i);
+      const Logic from = before(vp, i);
+      const Logic to = after(vp, i);
+      NdParams nd = random_nd(rng, p.vdd);
+      SdParams sd = random_sd(rng, p.vdd);
+      // Place one threshold exactly on a stored sample's level.
+      const double sample = w[rng.next_below(w.samples())];
+      const double rail = util::to_bool(to) ? p.vdd : 0.0;
+      const double dev = std::abs(sample - rail);
+      switch (rng.next_below(3)) {
+        case 0:
+          if (auto f = exact_frac(dev, p.vdd)) {
+            nd.v_hthr_frac = *f;
+            ++exact;
+          }
+          break;
+        case 1:
+          if (auto f = exact_frac(dev, p.vdd)) {
+            nd.v_hmin_frac = *f;
+            ++exact;
+          }
+          break;
+        default:
+          if (auto f = exact_frac(sample, p.vdd)) {
+            sd.vth_frac = *f;
+            ++exact;
+          }
+      }
+      const NdCell nd_cell(nd);
+      const SdCell sd_cell(sd);
+      const bool nd_want = nd_cell.violates(w, from, to);
+      const bool sd_want = sd_cell.violates(w, from, to);
+      EXPECT_EQ(raw.violates(r, i, nd_cell, from, to), nd_want);
+      EXPECT_EQ(raw.violates(r, i, sd_cell, from, to), sd_want);
+      for (int ask = 0; ask < 2; ++ask) {
+        EXPECT_EQ(bus.violates(b, i, nd_cell, from, to), nd_want) << ask;
+        EXPECT_EQ(bus.violates(b, i, sd_cell, from, to), sd_want) << ask;
+      }
+      nd_fired += nd_want ? 1 : 0;
+      sd_fired += sd_want ? 1 : 0;
+    }
+  }
+  EXPECT_GT(exact, 6 * n * n / 2) << "most thresholds land on a sample";
+  EXPECT_GT(nd_fired, 0u);
+  EXPECT_GT(sd_fired, 0u);
+}
+
+TEST(BusVerdicts, HandBuiltWaveformsAtThresholdLevels) {
+  // Hand-built waveforms reach the verdict API as scratch wires (no
+  // slot): a sample exactly at the ND arm level fires, one exactly at
+  // the release level counts as having reached the rail band, and an SD
+  // crossing exactly at vth commits at that sample.
+  const CoupledBus bus(params_n(2, 64));
+  NdParams ndp;
+  ndp.v_hthr_frac = 0.5;
+  ndp.v_hmin_frac = 0.25;
+  ndp.overshoot_frac = 0.0;
+  SdParams sdp;
+  sdp.vth_frac = 0.5;
+  sdp.skew_budget = 20 * sim::kPs;
+  const NdCell nd(ndp);
+  const SdCell sd(sdp);
+  const double arm = ndp.v_hthr_frac * ndp.vdd;
+  const double release = ndp.v_hmin_frac * ndp.vdd;
+  const double vth = sdp.vth_frac * sdp.vdd;
+
+  Waveform at_arm(64, sim::kPs, 0.0);  // quiet low wire, glitch to arm
+  at_arm[10] = arm;
+  Waveform below_arm(64, sim::kPs, 0.0);
+  below_arm[10] = std::nextafter(arm, 0.0);
+  // Rising wire: reaches the release band at exactly `release` short of
+  // the rail, then falls back to exactly `arm` short of it (ringing).
+  Waveform ring(64, sim::kPs, ndp.vdd);
+  ring[0] = 0.0;
+  ring[5] = ndp.vdd - release;
+  ring[6] = ndp.vdd - release;
+  ring[7] = ndp.vdd - arm;
+  Waveform late(64, sim::kPs, ndp.vdd);  // crosses vth exactly at 30 ps
+  for (std::size_t s = 0; s < 30; ++s) late[s] = 0.0;
+  late[30] = vth;
+  Waveform early(late);  // the same crossing at 10 ps
+  for (std::size_t s = 10; s < 30; ++s) early[s] = ndp.vdd;
+
+  const double* ptrs[] = {at_arm.data(), below_arm.data()};
+  const std::uint32_t slots[] = {TransitionBatch::kNoSlot,
+                                 TransitionBatch::kNoSlot};
+  TransitionBatch quiet{ptrs, slots, 2, 64, sim::kPs};
+  EXPECT_TRUE(bus.violates(quiet, 0, nd, Logic::L0, Logic::L0));
+  EXPECT_FALSE(bus.violates(quiet, 1, nd, Logic::L0, Logic::L0));
+
+  const double* rising[] = {ring.data(), late.data()};
+  TransitionBatch rise{rising, slots, 2, 64, sim::kPs};
+  EXPECT_TRUE(bus.violates(rise, 0, nd, Logic::L0, Logic::L1));
+  EXPECT_FALSE(bus.violates(rise, 1, nd, Logic::L0, Logic::L1));
+  EXPECT_TRUE(bus.violates(rise, 1, sd, Logic::L0, Logic::L1));
+  ASSERT_EQ(sd.arrival_time(late), 30 * sim::kPs);
+  ASSERT_EQ(sd.arrival_time(early), 10 * sim::kPs);
+  const double* ontime[] = {early.data(), early.data()};
+  TransitionBatch fast{ontime, slots, 2, 64, sim::kPs};
+  EXPECT_FALSE(bus.violates(fast, 0, sd, Logic::L0, Logic::L1));
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(bus.violates(quiet, i, nd, Logic::L0, Logic::L0),
+              nd.violates(quiet.wire(i), Logic::L0, Logic::L0));
+    EXPECT_EQ(bus.violates(rise, i, nd, Logic::L0, Logic::L1),
+              nd.violates(rise.wire(i), Logic::L0, Logic::L1));
+    EXPECT_EQ(bus.violates(rise, i, sd, Logic::L0, Logic::L1),
+              sd.violates(rise.wire(i), Logic::L0, Logic::L1));
+  }
+}
+
+TEST(BusVerdicts, RecordIsKeyedByParams) {
+  // One slot asked in turn under two ND and two SD param sets that
+  // disagree: each answer is the scan under the params asked.
+  const std::size_t n = 8;
+  CoupledBus bus(params_n(n, 512));
+  const mafm::VectorPair pg = mafm::vectors_for(mafm::MaFault::Pg, n, 3);
+  const mafm::VectorPair rs = mafm::vectors_for(mafm::MaFault::Rs, n, 3);
+  NdParams tight;
+  tight.v_hthr_frac = 0.02;
+  NdParams loose;
+  loose.v_hthr_frac = 0.95;
+  loose.overshoot_frac = 0.0;
+  SdParams fast;
+  fast.skew_budget = 1;
+  SdParams slow;
+  slow.skew_budget = 2000;
+
+  const TransitionBatch b = bus.transition_batch(pg.v1, pg.v2);
+  const Logic q = before(pg, 3);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(bus.violates(b, 3, NdCell(tight), q, q));
+    EXPECT_FALSE(bus.violates(b, 3, NdCell(loose), q, q));
+  }
+  const TransitionBatch s = bus.transition_batch(rs.v1, rs.v2);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(bus.violates(s, 3, SdCell(fast), before(rs, 3),
+                             after(rs, 3)));
+    EXPECT_FALSE(bus.violates(s, 3, SdCell(slow), before(rs, 3),
+                              after(rs, 3)));
+  }
+}
+
+TEST(BusVerdicts, GenerationBumpResetsTheRecord) {
+  // The same MA window lands in the same prefill slot after a defect
+  // bump, with a different waveform: the record scanned before the bump
+  // must not answer after it.
+  const std::size_t n = 8;
+  CoupledBus bus(params_n(n, 512));
+  const mafm::VectorPair pg = mafm::vectors_for(mafm::MaFault::Pg, n, 3);
+  const NdCell nd{NdParams{}};
+  const Logic q = before(pg, 3);
+
+  const TransitionBatch clean = bus.transition_batch(pg.v1, pg.v2);
+  const std::uint32_t slot = clean.slots[3];
+  ASSERT_FALSE(bus.violates(clean, 3, nd, q, q)) << "healthy: no glitch";
+
+  bus.inject_crosstalk_defect(3, 8.0);
+  const TransitionBatch bad = bus.transition_batch(pg.v1, pg.v2);
+  ASSERT_EQ(bad.slots[3], slot) << "same window, same prefill slot";
+  ASSERT_TRUE(nd.violates(bad.wire(3), q, q)) << "the defect must fire ND";
+  EXPECT_TRUE(bus.violates(bad, 3, nd, q, q));
+}
+
+TEST(BusVerdicts, RecycledFifoSlotResetsTheRecord) {
+  // FIFO slot 0 first holds a flat quiet window (clean under a hair-
+  // trigger ND cell), then is recycled for a quiet window beside a
+  // rising neighbour (a glitch: fires). The recycled slot must answer
+  // for its new waveform.
+  const std::size_t n = 8;
+  const BusParams p = params_n(n, 64);
+  CoupledBus bus(p);
+  NdParams hair;
+  hair.v_hthr_frac = 1e-6;
+  const NdCell nd(hair);
+
+  const util::BitVec zeros(n);
+  const TransitionBatch flat = bus.transition_batch(zeros, zeros);
+  ASSERT_EQ(bus.cache_misses(), n) << "all-quiet windows are not MA";
+  const std::uint32_t slot = flat.slots[0];
+  ASSERT_FALSE(bus.violates(flat, 0, nd, Logic::L0, Logic::L0));
+
+  // A quiet wire 0 beside a rising wire 1.
+  util::BitVec next(n);
+  next.set(1, true);
+  const mafm::VectorPair t{zeros, next};
+  const std::uint64_t t_key = neighborhood_key(n, 0, t.v1, t.v2);
+
+  // Fill the rest of the FIFO from wires 2..7, so that slot 0 is the
+  // oldest and next in line.
+  util::Prng rng(0xF1F0u);
+  while (bus.cache_misses() < CoupledBus::kMaxCacheEntries) {
+    const util::BitVec prev = random_vec(rng, n);
+    const util::BitVec nxt = random_vec(rng, n);
+    const std::size_t w = 2 + rng.next_below(n - 2);
+    ASSERT_NE(neighborhood_key(n, w, prev, nxt), t_key);
+    bus.wire_response(w, prev, nxt);
+  }
+  const TransitionBatch glitch = bus.transition_batch(t.v1, t.v2);
+  ASSERT_EQ(glitch.slots[0], slot) << "wire 0 must recycle FIFO slot 0";
+  ASSERT_TRUE(nd.violates(glitch.wire(0), Logic::L0, Logic::L0));
+  EXPECT_TRUE(bus.violates(glitch, 0, nd, Logic::L0, Logic::L0));
+}
+
+TEST(BusVerdicts, LevelsOtherThanTheSlotsOwnAreScanned) {
+  // A record answers only for its slot's own driven levels; asked about
+  // the same stored waveform under other levels, the bus scans.
+  const std::size_t n = 8;
+  CoupledBus bus(params_n(n, 512));
+  const mafm::VectorPair rs = mafm::vectors_for(mafm::MaFault::Rs, n, 3);
+  const TransitionBatch b = bus.transition_batch(rs.v1, rs.v2);
+  const NdCell nd{NdParams{}};
+  const Logic from = before(rs, 3);
+  const Logic to = after(rs, 3);
+  ASSERT_NE(from, to);
+  ASSERT_FALSE(bus.violates(b, 3, nd, from, to));
+  EXPECT_EQ(bus.violates(b, 3, nd, to, to), nd.violates(b.wire(3), to, to));
+  EXPECT_EQ(bus.violates(b, 3, nd, from, from),
+            nd.violates(b.wire(3), from, from));
+  EXPECT_TRUE(bus.violates(b, 3, nd, from, from))
+      << "a rising wire read as quiet-low is far off its rail";
 }
 
 }  // namespace
