@@ -2,8 +2,8 @@
 // transitions/sec of the batched (store-backed) path versus the raw
 // scalar solver over the complete MA pattern workload, plus the
 // bit-for-bit parity pin between the two. Used by bench/perf_kernel.cpp
-// (dumps the numbers into BENCH_perf_kernel.json) and by
-// bench/kernel_ratio_guard.cpp (the CTest ratio assertion).
+// (prints the numbers) and by bench/kernel_ratio_guard.cpp (the CTest
+// ratio assertion).
 
 #ifndef JSI_BENCH_KERNEL_THROUGHPUT_HPP
 #define JSI_BENCH_KERNEL_THROUGHPUT_HPP

@@ -13,17 +13,12 @@
 // ride out machine-load spikes on CI boxes. Each retry doubles the
 // repetition count, so a temporarily noisy box gets progressively more
 // chances for the true minimum to surface before the guard gives up.
-//
-// Knobs for hostile CI environments (never needed on a quiet box):
-//   JSI_OVERHEAD_BUDGET_PCT  overhead budget in percent (default 2)
-//   JSI_OVERHEAD_ATTEMPTS    retry attempts (default 5)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <vector>
 
 #include "core/session.hpp"
 #include "obs/events.hpp"
@@ -31,6 +26,10 @@
 namespace {
 
 using clock_type = std::chrono::steady_clock;
+
+constexpr double kMaxOverhead = 0.02;  // 2% budget
+constexpr int kAttempts = 5;
+constexpr int kBaseReps = 7;
 
 std::uint64_t run_session_ns(jsi::obs::Sink* sink) {
   jsi::core::SocConfig cfg;
@@ -46,23 +45,9 @@ std::uint64_t run_session_ns(jsi::obs::Sink* sink) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
-double env_or(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || parsed <= 0.0) return fallback;
-  return parsed;
-}
-
 }  // namespace
 
 int main() {
-  const double kMaxOverhead = env_or("JSI_OVERHEAD_BUDGET_PCT", 2.0) / 100.0;
-  const int kAttempts =
-      static_cast<int>(env_or("JSI_OVERHEAD_ATTEMPTS", 5.0));
-  constexpr int kBaseReps = 7;
-
   jsi::obs::NullSink null_sink;
   // Warm-up: fault in code and allocator pools on both paths.
   run_session_ns(nullptr);

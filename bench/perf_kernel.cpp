@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <string>
 
 #include "bsc/netlists.hpp"
 #include "core/bist.hpp"
@@ -255,10 +254,9 @@ void BM_ExtestBoardSession(benchmark::State& state) {
 BENCHMARK(BM_ExtestBoardSession)->Arg(16)->Arg(64);
 
 // One instrumented pass of every session kind, folding TCK-phase and
-// cache metrics into the global registry for the BENCH_perf_kernel.json
-// dump (see main below).
-void collect_session_metrics() {
-  obs::MetricsSink sink(obs::global_registry());
+// cache metrics into `reg` (printed by main below).
+void collect_session_metrics(obs::Registry& reg) {
+  obs::MetricsSink sink(reg);
   {
     core::SocConfig cfg;
     cfg.n_wires = 16;
@@ -308,44 +306,23 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  collect_session_metrics();
-  // Headline kernel numbers for BENCH_perf_kernel.json: MA-workload
-  // transitions/sec on the batched (store) path vs the raw scalar solver,
-  // plus the store hit rate the measurement observed, once per registered
-  // interconnect model. The default model additionally keeps the legacy
-  // unsuffixed gauge names so existing dashboards keep reading. The >= 3x
-  // floor on each ratio is enforced by the kernel_ratio_guard ctest; here
-  // it is only recorded.
-  obs::Registry& reg = obs::global_registry();
+  // Headline kernel numbers: MA-workload transitions/sec on the store
+  // path vs the raw scalar solver, once per registered interconnect
+  // model. The floor on each ratio is enforced by the kernel_ratio_guard
+  // ctest; here it is only printed.
   for (si::ModelKind kind : si::kAllModelKinds) {
     const bench::KernelThroughput kt =
         bench::measure_kernel_throughput(8, 4, kind);
-    const std::uint64_t lookups = kt.cache_hits + kt.cache_misses;
-    const double hit_rate = lookups == 0
-                                ? 0.0
-                                : static_cast<double>(kt.cache_hits) /
-                                      static_cast<double>(lookups);
-    if (kind == si::ModelKind::RcFullSwing) {
-      reg.gauge("kernel.transitions_per_sec.batched").set(kt.batched_tps);
-      reg.gauge("kernel.transitions_per_sec.scalar").set(kt.scalar_tps);
-      reg.gauge("kernel.batched_vs_scalar_ratio").set(kt.ratio);
-      reg.gauge("kernel.parity_ok").set(kt.parity_ok ? 1.0 : 0.0);
-      reg.gauge("kernel.cache_hit_rate").set(hit_rate);
-    }
-    const std::string prefix =
-        std::string("kernel.transitions_per_sec.") + si::model_kind_name(kind);
-    reg.gauge(prefix + ".batched").set(kt.batched_tps);
-    reg.gauge(prefix + ".scalar").set(kt.scalar_tps);
-    const std::string base =
-        std::string("kernel.") + si::model_kind_name(kind);
-    reg.gauge(base + ".batched_vs_scalar_ratio").set(kt.ratio);
-    reg.gauge(base + ".parity_ok").set(kt.parity_ok ? 1.0 : 0.0);
     std::cout << "kernel[" << si::model_kind_name(kind) << "]: batched "
               << kt.batched_tps << " trans/s, scalar " << kt.scalar_tps
               << " trans/s, ratio " << kt.ratio << "x, parity "
-              << (kt.parity_ok ? "ok" : "BROKEN") << "\n";
+              << (kt.parity_ok ? "ok" : "BROKEN") << ", store "
+              << kt.cache_hits << "/" << kt.cache_hits + kt.cache_misses
+              << " hits\n";
   }
-  const std::string path = obs::jsi_metrics_dump("perf_kernel");
-  if (!path.empty()) std::cout << "metrics: " << path << "\n";
+  obs::Registry reg;
+  collect_session_metrics(reg);
+  std::cout << "\nsession metrics:\n";
+  reg.write_text(std::cout);
   return 0;
 }

@@ -14,7 +14,6 @@
 
 #include "analysis/time_model.hpp"
 #include "core/session.hpp"
-#include "obs/registry.hpp"
 #include "scenario/build.hpp"
 #include "scenario/parse.hpp"
 #include "util/table.hpp"
@@ -86,13 +85,6 @@ int main() {
     conv_model.push_back(std::to_string(model.conventional_generation()));
     pg_row.push_back(std::to_string(enh.generation_tcks));
     pg_model.push_back(std::to_string(model.pgbsc_generation()));
-    const std::string suffix = ".n" + std::to_string(n);
-    obs::global_registry()
-        .counter("table5.conventional_tcks" + suffix)
-        .inc(conv.generation_tcks);
-    obs::global_registry()
-        .counter("table5.pgbsc_tcks" + suffix)
-        .inc(enh.generation_tcks);
     imp_row.push_back(util::fmt_percent(
         1.0 - static_cast<double>(enh.generation_tcks) /
                   static_cast<double>(conv.generation_tcks)));
@@ -115,10 +107,5 @@ int main() {
                                      : static_cast<double>(hits) /
                                            static_cast<double>(lookups))
             << " hit rate).\n";
-
-  obs::global_registry().counter("bus.cache_hits").inc(hits);
-  obs::global_registry().counter("bus.cache_misses").inc(misses);
-  const std::string path = obs::jsi_metrics_dump("table5_pattern_time");
-  if (!path.empty()) std::cout << "metrics: " << path << "\n";
   return 0;
 }

@@ -11,11 +11,6 @@
 //
 // Methodology: min-of-K, interleaved, doubling repetitions per retry —
 // the same one-sided-noise argument as obs_overhead_guard.
-//
-// Knobs for hostile CI environments:
-//   JSI_TELEMETRY_BUDGET_PCT  overhead budget in percent (default 2)
-//   JSI_TELEMETRY_ATTEMPTS    retry attempts (default 5)
-//   JSI_TELEMETRY_UNITS       campaign size (default 12)
 
 #include <algorithm>
 #include <chrono>
@@ -25,7 +20,6 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "scenario/parse.hpp"
 #include "scenario/run.hpp"
@@ -34,27 +28,9 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 
-double env_or(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || parsed <= 0.0) return fallback;
-  return parsed;
-}
-
-jsi::scenario::ScenarioSpec make_workload(std::size_t units) {
-  jsi::scenario::ScenarioSpec spec = jsi::scenario::load_scenario(
-      std::string(JSI_SCENARIO_DIR) + "/campaign_multibus.scenario.json");
-  const std::vector<jsi::scenario::SessionSpec> base = spec.sessions;
-  spec.sessions.clear();
-  for (std::size_t i = 0; i < units; ++i) {
-    jsi::scenario::SessionSpec s = base[i % base.size()];
-    s.name = "mb" + std::to_string(i);
-    spec.sessions.push_back(std::move(s));
-  }
-  return spec;
-}
+constexpr double kMaxOverhead = 0.02;  // 2% budget
+constexpr int kAttempts = 5;
+constexpr int kBaseReps = 5;
 
 struct Timed {
   std::uint64_t ns = 0;
@@ -83,15 +59,8 @@ Timed run_once(const jsi::scenario::ScenarioSpec& spec,
 }  // namespace
 
 int main() {
-  const double kMaxOverhead =
-      env_or("JSI_TELEMETRY_BUDGET_PCT", 2.0) / 100.0;
-  const int kAttempts =
-      static_cast<int>(env_or("JSI_TELEMETRY_ATTEMPTS", 5.0));
-  const std::size_t units =
-      static_cast<std::size_t>(env_or("JSI_TELEMETRY_UNITS", 12.0));
-  constexpr int kBaseReps = 5;
-
-  const jsi::scenario::ScenarioSpec spec = make_workload(units);
+  const jsi::scenario::ScenarioSpec spec = jsi::scenario::load_scenario(
+      std::string(JSI_SCENARIO_DIR) + "/campaign_multibus.scenario.json");
   const std::string hb_path =
       (std::filesystem::temp_directory_path() / "jsi_telemetry_guard.jsonl")
           .string();

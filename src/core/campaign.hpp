@@ -324,14 +324,15 @@ class CampaignRunner {
   bool aggregated() const { return size() > kTranscriptThreshold; }
 
   /// The chunk width run() will schedule with: 1 for a per-unit campaign
-  /// (the historic per-unit merge grouping), 64 for an aggregated one,
+  /// (the historic per-unit merge grouping), 8 for an aggregated one,
   /// where claiming whole index ranges (one atomic increment, one
   /// checkpoint record and one registry fold per chunk) amortizes
-  /// dispatch at sweep scale. A pure
+  /// dispatch at sweep scale while leaving enough chunks to keep every
+  /// shard busy (the shipped 150-die sweep is 19 chunks). A pure
   /// function of the unit count — never of the shard count — because the
   /// chunk layout fixes the FP summation grouping of the merged registry.
   /// checkpoint_header() records it so a resume can check the layout.
-  std::size_t effective_chunk_size() const { return aggregated() ? 64 : 1; }
+  std::size_t effective_chunk_size() const { return aggregated() ? 8 : 1; }
 
   /// The checkpoint header run() writes and expects on resume: the
   /// configured fingerprint plus the layout derived from the unit count.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -210,8 +208,8 @@ void Registry::write_json(std::ostream& os) const {
     }
     os << "],\"count\":" << h.count() << ",\"sum\":";
     write_number(os, h.sum());
-    // Derived summaries so BENCH_*.json consumers can read p50/p95
-    // latencies without reconstructing them from the bucket vectors.
+    // Derived summaries so JSON consumers can read p50/p95 latencies
+    // without reconstructing them from the bucket vectors.
     os << ",\"mean\":";
     write_number(os, h.mean());
     os << ",\"p50\":";
@@ -227,29 +225,6 @@ std::string Registry::to_json() const {
   std::ostringstream ss;
   write_json(ss);
   return ss.str();
-}
-
-Registry& global_registry() {
-  static Registry reg;
-  return reg;
-}
-
-std::string jsi_metrics_dump(const std::string& name,
-                             const std::string& path) {
-  std::string target = path;
-  if (target.empty()) {
-    std::string dir;
-    if (const char* env = std::getenv("JSI_METRICS_DIR")) dir = env;
-    if (!dir.empty() && dir.back() != '/') dir += '/';
-    target = dir + "BENCH_" + name + ".json";
-  }
-  std::ofstream os(target);
-  if (!os) return "";
-  os << "{\"benchmark\":";
-  std::ostringstream quoted;
-  quoted << '"' << name << '"';
-  os << quoted.str() << ",\"metrics\":" << global_registry().to_json() << "}\n";
-  return os ? target : "";
 }
 
 }  // namespace jsi::obs

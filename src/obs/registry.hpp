@@ -73,7 +73,7 @@ class Histogram {
   /// layout: linear interpolation inside the bucket holding the target
   /// rank, with the first bucket anchored at 0 and observations in the
   /// overflow bucket clamped to the highest bound. Exact enough for the
-  /// p50/p95 summaries the profile report and BENCH_*.json print; 0 when
+  /// p50/p95 summaries the profile report and metrics.json print; 0 when
   /// the histogram is empty.
   double quantile(double q) const;
 
@@ -138,18 +138,6 @@ class Registry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
-
-/// Process-wide registry for benches and examples (library code takes an
-/// explicit Registry; only standalone binaries use the global).
-Registry& global_registry();
-
-/// Dump the global registry as `BENCH_<name>.json` — the bench metrics
-/// hook. The file lands in `$JSI_METRICS_DIR` when that is set, else the
-/// current directory; an explicit `path` overrides both. Returns the
-/// path written, or "" on I/O failure (benches must not die on a
-/// read-only working directory).
-std::string jsi_metrics_dump(const std::string& name,
-                             const std::string& path = "");
 
 }  // namespace jsi::obs
 

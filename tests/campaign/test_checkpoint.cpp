@@ -247,7 +247,7 @@ TEST(CheckpointRunner, AggregateModeFoldsOutcomes) {
 
 TEST(CheckpointRunner, UnitCountDecidesTheResultShape) {
   // At the threshold every outcome is kept, one unit per chunk; one unit
-  // past it the campaign aggregates in 64-unit chunks.
+  // past it the campaign aggregates in 8-unit chunks.
   FakeSource at(core::kTranscriptThreshold);
   CampaignRunner per_unit;
   per_unit.set_source(&at);
@@ -263,7 +263,7 @@ TEST(CheckpointRunner, UnitCountDecidesTheResultShape) {
   CampaignRunner folded;
   folded.set_source(&past);
   EXPECT_TRUE(folded.aggregated());
-  EXPECT_EQ(folded.effective_chunk_size(), 64u);
+  EXPECT_EQ(folded.effective_chunk_size(), 8u);
   const CampaignResult r = folded.run();
   EXPECT_TRUE(r.aggregated);
   EXPECT_EQ(r.units_run, core::kTranscriptThreshold + 1);
@@ -345,8 +345,8 @@ void expect_resume_identical(std::size_t units, std::size_t step,
 
 TEST(CheckpointRunner, ResumeByteIdenticalAcrossBoundaries) {
   // Several kill boundaries x both result shapes (300 units aggregate
-  // in five 64-unit chunks, 17 units keep one chunk per unit), 1 and 4
-  // shards.
+  // in 38 chunks of 8 units, the last one of 4; 17 units keep one chunk
+  // per unit), 1 and 4 shards.
   expect_resume_identical(300, 1, 1, "agg_s1_k1");
   expect_resume_identical(300, 2, 1, "agg_s1_k2");
   expect_resume_identical(300, 3, 4, "agg_s4_k3");
@@ -365,14 +365,14 @@ TEST(CheckpointRunner, ResumeSkipsCompletedChunks) {
   cfg.max_chunks = 3;
   const CampaignResult first = run_once(src, cfg);
   EXPECT_FALSE(first.complete);
-  EXPECT_EQ(src.materialized(), 192u);
+  EXPECT_EQ(src.materialized(), 24u);  // three 8-unit chunks
 
   src.reset_materialized();
   cfg.resume = true;
   cfg.max_chunks = 0;
   const CampaignResult second = run_once(src, cfg);
   EXPECT_TRUE(second.complete);
-  EXPECT_EQ(src.materialized(), 108u)
+  EXPECT_EQ(src.materialized(), 276u)
       << "resume must only materialize the unfinished chunks";
   EXPECT_EQ(second.units_run, 300u);
 
@@ -406,7 +406,7 @@ TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
   EXPECT_THROW(run_once(src, cfg), core::CheckpointMismatchError);
 
   // Same identity, different unit count: a different layout (40 units
-  // keep one chunk per unit, 300 aggregate in 64-unit chunks).
+  // keep one chunk per unit, 300 aggregate in 8-unit chunks).
   cfg.fingerprint = "spec-A";
   FakeSource fewer(40);
   EXPECT_THROW(run_once(fewer, cfg), core::CheckpointMismatchError);
@@ -421,11 +421,11 @@ TEST(CheckpointRunner, ResumeRejectsV1Checkpoint) {
   FakeSource src(300);
   const std::string path = temp_path("v1.jsonl");
   const std::string layout =
-      "\"fingerprint\":\"spec-A\",\"units\":300,\"chunk_size\":64,"
+      "\"fingerprint\":\"spec-A\",\"units\":300,\"chunk_size\":8,"
       "\"aggregate\":true}\n";
   const std::string v1 =
       "{\"schema\":\"jsi.checkpoint.v1\"," + layout +
-      "{\"chunk\":0,\"agg\":{\"units\":64,\"violations\":0,"
+      "{\"chunk\":0,\"agg\":{\"units\":8,\"violations\":0,"
       "\"failures\":0,\"total_tcks\":0,\"generation_tcks\":0,"
       "\"observation_tcks\":0},\"registry\":{\"counters\":"
       "{\"bus.cache_hits\":8,\"bus.table_hits\":1},\"gauges\":{},"
@@ -455,11 +455,44 @@ TEST(CheckpointRunner, ResumeRejectsV1Checkpoint) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointRunner, ResumeRejects64WideCheckpoint) {
+  // A checkpoint written when aggregated chunks were 64 units wide folds
+  // different unit ranges per record, so its books cannot be resumed
+  // into 8-unit chunks. Same campaign, this build's schema, old width: a
+  // typed layout rejection before any unit runs, file left untouched.
+  FakeSource src(300);
+  const std::string path = temp_path("wide64.jsonl");
+  const std::string wide =
+      std::string("{\"schema\":\"") + core::kCheckpointSchema +
+      "\",\"fingerprint\":\"spec-A\",\"units\":300,\"chunk_size\":64,"
+      "\"aggregate\":true}\n";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << wide;
+  }
+  CampaignConfig cfg;
+  cfg.shards = 1;
+  cfg.checkpoint_path = path;
+  cfg.fingerprint = "spec-A";
+  cfg.resume = true;
+  try {
+    (void)run_once(src, cfg);
+    FAIL() << "a 64-wide checkpoint must be rejected";
+  } catch (const core::CheckpointMismatchError& e) {
+    EXPECT_NE(std::string(e.what()).find("layout mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(src.materialized(), 0u);
+  EXPECT_EQ(slurp(path), wide);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRunner, ResumeRejectsOutOfRangeChunkId) {
   // The header matches this campaign exactly, so only the record's chunk
   // id (== the chunk count) is wrong. Resume must throw before any unit
   // runs instead of indexing past the per-chunk slots.
-  FakeSource src(300);  // five 64-unit chunks: ids 0..4
+  FakeSource src(300);  // 38 chunks of at most 8 units: ids 0..37
   const std::string path = temp_path("chunk_oob.jsonl");
   CampaignConfig cfg;
   cfg.shards = 1;
@@ -473,8 +506,8 @@ TEST(CheckpointRunner, ResumeRejectsOutOfRangeChunkId) {
     core::write_checkpoint_header(os, runner.checkpoint_header());
     os << '\n';
     core::ChunkRecord rec;
-    rec.chunk = 5;
-    rec.agg.units = 64;
+    rec.chunk = 38;
+    rec.agg.units = 8;
     core::write_chunk_record(os, rec);
     os << '\n';
   }
@@ -491,7 +524,7 @@ TEST(CheckpointRunner, ResumeRejectsOutOfRangeChunkId) {
 }
 
 TEST(CheckpointRunner, CheckpointGrowsByOneLinePerChunk) {
-  FakeSource src(256);  // four 64-unit chunks
+  FakeSource src(256);  // 32 chunks of 8 units
   const std::string path = temp_path("growth.jsonl");
   std::remove(path.c_str());
   CampaignConfig cfg;
@@ -512,7 +545,7 @@ TEST(CheckpointRunner, CheckpointGrowsByOneLinePerChunk) {
     const std::string text = slurp(path);
     std::size_t lines = 0;
     for (const char c : text) lines += c == '\n';
-    EXPECT_EQ(lines, 5u) << "header + 4 chunk records after completion";
+    EXPECT_EQ(lines, 33u) << "header + 32 chunk records after completion";
   }
   std::remove(path.c_str());
 }
@@ -620,9 +653,9 @@ TEST(CheckpointRunner, CancelMidRunStopsClaimingChunks) {
   const CampaignResult r = runner.run();
   EXPECT_TRUE(r.cancelled);
   EXPECT_FALSE(r.complete);
-  // Unit 150 lives in chunk 2 (units 128..191): chunks 0..2 were claimed
-  // before the flag rose; chunk 3 onward must never start.
-  EXPECT_EQ(r.units_run, 192u);
+  // Unit 150 lives in chunk 18 (units 144..151): chunks 0..18 were
+  // claimed before the flag rose; chunk 19 onward must never start.
+  EXPECT_EQ(r.units_run, 152u);
 }
 
 TEST(CheckpointRunner, CancelledRunKeepsItsCheckpointResumable) {

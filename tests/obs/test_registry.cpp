@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -138,31 +136,6 @@ TEST(Registry, JsonDumpParsesAndRoundTripsValues) {
   ASSERT_NE(counts, nullptr);
   ASSERT_EQ(counts->array.size(), 3u);
   EXPECT_DOUBLE_EQ(counts->array[1].number, 1.0);  // 3 lands in (1, 10]
-}
-
-TEST(MetricsDump, WritesParseableBenchFile) {
-  global_registry().counter("dump.test").inc(9);
-  const std::string path =
-      testing::TempDir() + "BENCH_registry_unittest.json";
-  const std::string written = jsi_metrics_dump("registry_unittest", path);
-  ASSERT_EQ(written, path);
-
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string err;
-  const auto doc = util::json::parse(buf.str(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  const util::json::Value* bench = doc->find("benchmark");
-  ASSERT_NE(bench, nullptr);
-  EXPECT_EQ(bench->str, "registry_unittest");
-  const util::json::Value* metrics = doc->find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const util::json::Value* counters = metrics->find("counters");
-  ASSERT_NE(counters, nullptr);
-  ASSERT_NE(counters->find("dump.test"), nullptr);
-  EXPECT_DOUBLE_EQ(counters->find("dump.test")->number, 9.0);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -196,6 +196,7 @@ TEST(Serve, ConcurrentClientsAllGetByteIdenticalArtifacts) {
   Daemon d(cfg);
 
   constexpr int kClients = 4;
+  std::vector<std::uint64_t> ids(kClients);
   std::vector<std::string> reports(kClients);
   std::vector<std::string> metrics(kClients);
   std::vector<std::thread> clients;
@@ -209,6 +210,7 @@ TEST(Serve, ConcurrentClientsAllGetByteIdenticalArtifacts) {
         return;
       }
       const std::uint64_t id = job_id(sub);
+      ids[k] = id;
       wait_terminal(c, id);
       const json::Value res = c.request(make_job_request("result", id));
       if (!ok(res)) {
@@ -225,6 +227,22 @@ TEST(Serve, ConcurrentClientsAllGetByteIdenticalArtifacts) {
     EXPECT_EQ(reports[k], local.report_text) << "client " << k;
     EXPECT_EQ(metrics[k], local.metrics_json) << "client " << k;
   }
+
+  // A daemon that drops or wedges jobs under concurrent submission fails
+  // here: every job ends Done and the serve.* counters agree with the
+  // batch. Drain first so every counter has been booked.
+  d.stop();
+  for (int k = 0; k < kClients; ++k) {
+    const auto info = d.server().job_info(ids[k]);
+    ASSERT_TRUE(info.has_value()) << "client " << k;
+    EXPECT_EQ(info->state, JobState::Done) << "client " << k;
+  }
+  const obs::Registry snap = d.server().metrics_snapshot();
+  const std::uint64_t batch = kClients;
+  EXPECT_EQ(snap.counter_value("serve.jobs_submitted"), batch);
+  EXPECT_EQ(snap.counter_value("serve.jobs_completed"), batch);
+  EXPECT_EQ(snap.counter_value("serve.jobs_failed"), 0u);
+  EXPECT_EQ(snap.counter_value("serve.jobs_cancelled"), 0u);
 }
 
 TEST(Serve, MultiMegabyteResultFrameArrivesByteIdentical) {
