@@ -17,12 +17,17 @@
 //  * Performance (enforced only where it is physically possible): >= 2.5x
 //    speedup at 4 shards, checked only when the box actually has >= 4
 //    hardware threads, best of kAttempts attempts to ride out CI load
-//    spikes. The measured speedups are always printed.
+//    spikes. Within an attempt every shard count is timed as the best of
+//    the leg's interleaved repetitions, so one load phase on a shared box
+//    slows all shard counts alike rather than just the 1-shard run. The
+//    measured speedups are always printed.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -36,13 +41,19 @@ using clock_type = std::chrono::steady_clock;
 constexpr int kAttempts = 3;
 constexpr double kMinSpeedup4 = 2.5;
 
+constexpr std::size_t kShards[] = {1, 2, 4, 8};
+
 struct Leg {
   const char* scenario;
   bool aggregated;  // the result shape the file must take
+  // Rounds of every shard count per attempt, sized so an attempt spans
+  // over a second: bare, the ~170 ms multibus leg fits all its attempts
+  // into one load phase.
+  int reps;
 };
 
-constexpr Leg kLegs[] = {{"campaign_multibus", false},
-                         {"yield_mc_sweep", true}};
+constexpr Leg kLegs[] = {{"campaign_multibus", false, 5},
+                         {"yield_mc_sweep", true, 1}};
 
 struct Timed {
   double ms = 0.0;
@@ -86,20 +97,32 @@ double scaling_leg(const Leg& leg, unsigned hw) {
       std::string(JSI_SCENARIO_DIR) + "/" + leg.scenario + ".scenario.json");
   double best_speedup4 = 0.0;
   for (int attempt = 1; attempt <= kAttempts; ++attempt) {
-    const Timed base = run_once(leg, spec, 1);
-    for (const std::size_t shards : {2, 4, 8}) {
-      const Timed t = run_once(leg, spec, shards);
-      if (t.report != base.report || t.metrics_json != base.metrics_json ||
-          t.yield_json != base.yield_json) {
-        std::cerr << "FAIL: " << leg.scenario << " " << shards
-                  << "-shard result differs from 1-shard reference\n";
-        return -1.0;
+    double best_ms[std::size(kShards)];
+    std::fill(std::begin(best_ms), std::end(best_ms),
+              std::numeric_limits<double>::infinity());
+    Timed base;  // the attempt's first 1-shard run
+    for (int rep = 0; rep < leg.reps; ++rep) {
+      for (std::size_t k = 0; k < std::size(kShards); ++k) {
+        const Timed t = run_once(leg, spec, kShards[k]);
+        if (rep == 0 && k == 0) {
+          base = t;
+        } else if (t.report != base.report ||
+                   t.metrics_json != base.metrics_json ||
+                   t.yield_json != base.yield_json) {
+          std::cerr << "FAIL: " << leg.scenario << " " << kShards[k]
+                    << "-shard result differs from 1-shard reference\n";
+          return -1.0;
+        }
+        best_ms[k] = std::min(best_ms[k], t.ms);
       }
-      const double speedup = base.ms / t.ms;
-      if (shards == 4) best_speedup4 = std::max(best_speedup4, speedup);
+    }
+    for (std::size_t k = 1; k < std::size(kShards); ++k) {
+      const double speedup = best_ms[0] / best_ms[k];
+      if (kShards[k] == 4) best_speedup4 = std::max(best_speedup4, speedup);
       std::cout << leg.scenario << " attempt " << attempt << ": shards "
-                << shards << ": " << t.ms << " ms (1-shard " << base.ms
-                << " ms, speedup " << speedup << "x)\n";
+                << kShards[k] << ": " << best_ms[k] << " ms (1-shard "
+                << best_ms[0] << " ms, best of " << leg.reps
+                << ", speedup " << speedup << "x)\n";
     }
     // A quiet machine clears the bar on attempt 1.
     if (hw < 4 || best_speedup4 >= kMinSpeedup4) break;

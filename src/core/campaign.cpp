@@ -49,29 +49,35 @@ UnitOutcome summarize(const IntegrityReport& rep) {
 
 UnitOutcome run_soc_session(CampaignContext& ctx, SocConfig cfg,
                             SocSession kind, ObservationMethod method,
-                            std::size_t guard, const BusSetup& defects) {
+                            std::size_t guard, const BusSetup& defects,
+                            const SessionReview& review) {
   cfg.enhanced = kind != SocSession::Conventional;
   si::CoupledBus bus = model_bus(ctx, effective_bus_params(cfg));
   if (defects) defects(bus);
   SiSocDevice soc(cfg, bus);
+  const auto reviewed = [&](const IntegrityReport& rep) {
+    if (review) review(bus, rep.nd_final, rep.sd_final);
+    return summarize(rep);
+  };
   switch (kind) {
     case SocSession::Enhanced:
     case SocSession::Parallel: {
       SiTestSession session(soc);
       session.set_sink(&ctx.hub());
-      return summarize(kind == SocSession::Parallel
-                           ? session.run_parallel(method, guard)
-                           : session.run(method));
+      return reviewed(kind == SocSession::Parallel
+                          ? session.run_parallel(method, guard)
+                          : session.run(method));
     }
     case SocSession::Conventional: {
       ConventionalSession session(soc);
       session.set_sink(&ctx.hub());
-      return summarize(session.run(method));
+      return reviewed(session.run(method));
     }
     case SocSession::Bist: {
       SiBistController ctl(soc);
       ctl.set_sink(&ctx.hub());
       const SiBistController::Result res = ctl.run();
+      if (review) review(bus, res.nd, res.sd);
       UnitOutcome o;
       o.total_tcks = res.tcks;
       // The autonomous controller runs one fused program; it does not

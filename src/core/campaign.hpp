@@ -15,6 +15,7 @@
 #include "obs/telemetry.hpp"
 #include "si/bus.hpp"
 #include "si/model.hpp"
+#include "util/bitvec.hpp"
 
 namespace jsi::core {
 
@@ -254,15 +255,23 @@ enum class SocSession { Enhanced, Parallel, Conventional, Bist };
 /// Optional per-unit defect injection, applied before the session runs.
 using BusSetup = std::function<void(si::CoupledBus&)>;
 
+/// Optional read-only look at a finished single-bus session: its bus,
+/// defects and waveform store as the session left them, and the per-wire
+/// ND and SD flags it read out. The sweep scores its dies through it.
+using SessionReview = std::function<void(
+    const si::CoupledBus&, const util::BitVec& nd, const util::BitVec& sd)>;
+
 /// Run one single-bus SoC session of `kind` (the `enhanced` flag follows
 /// the kind) on a bus from the context's factory with `defects` applied,
 /// and summarize it as a unit outcome. This is the body of add_enhanced /
 /// add_parallel / add_conventional / add_bist; lazy unit sources (the
 /// sweep) call it so a sampled die runs exactly the canned session.
-/// `guard` is used by Parallel only, `method` by all but Bist.
+/// `guard` is used by Parallel only, `method` by all but Bist. `review`,
+/// when set, runs once after the session, before the outcome is built.
 UnitOutcome run_soc_session(CampaignContext& ctx, SocConfig cfg,
                             SocSession kind, ObservationMethod method,
-                            std::size_t guard, const BusSetup& defects);
+                            std::size_t guard, const BusSetup& defects,
+                            const SessionReview& review = {});
 
 struct CheckpointHeader;  // core/checkpoint.hpp
 

@@ -28,8 +28,9 @@ struct TelemetryConfig {
   /// JSONL heartbeat file ("" = no file). Opened at start(); open
   /// failure throws std::runtime_error before any unit runs.
   std::string sink_path;
-  /// In-memory heartbeat sink for tests (not owned; may be nullptr).
-  /// Used in addition to `sink_path`.
+  /// In-memory heartbeat stream (not owned; may be nullptr): `jsi serve`
+  /// streams a job's progress frames through it, tests capture
+  /// heartbeats with it. Used in addition to `sink_path`.
   std::ostream* sink = nullptr;
   /// Render a single-line terminal progress bar with ETA on every
   /// sample, to std::cerr.

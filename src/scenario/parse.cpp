@@ -447,12 +447,26 @@ SessionSpec parse_session(const json::Value& v, const std::string& path,
 
 // ---------------------------------------------------------------------------
 
+TruthSpec parse_truth(const json::Value& v, const std::string& path) {
+  if (!v.is_object()) fail(path, "expected an object");
+  check_keys(v, path, {"max_glitch_frac", "max_settle_ps"});
+  TruthSpec t;
+  const std::string glitch = sub(path, "max_glitch_frac");
+  t.max_glitch_frac = as_double(req(v, path, "max_glitch_frac"), glitch);
+  if (!(t.max_glitch_frac > 0.0 && t.max_glitch_frac <= 1.0)) {
+    fail(glitch, "must be a number in (0, 1]");
+  }
+  t.max_settle_ps = as_int_min(req(v, path, "max_settle_ps"),
+                               sub(path, "max_settle_ps"), 1);
+  return t;
+}
+
 SweepSpec parse_sweep(const json::Value& v, const TopologySpec& topo) {
   const std::string path = "sweep";
   if (!v.is_object()) fail(path, "expected an object");
   check_keys(v, path,
              {"samples", "nd_vhthr_frac", "sd_budget_ps", "variations",
-              "defects"});
+              "defects", "truth"});
   if (topo.kind != TopologyKind::Soc) {
     fail(path, "requires topology kind \"soc\"");
   }
@@ -515,6 +529,9 @@ SweepSpec parse_sweep(const json::Value& v, const TopologySpec& topo) {
   }
   if (const json::Value* x = v.find("defects")) {
     s.defects = parse_defect_list(*x, sub(path, "defects"), topo);
+  }
+  if (const json::Value* x = v.find("truth")) {
+    s.truth = parse_truth(*x, sub(path, "truth"));
   }
   return s;
 }

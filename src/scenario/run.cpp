@@ -113,6 +113,11 @@ std::string render_yield_json(const ScenarioSpec& spec,
                    : static_cast<double>(units - violations - failures) /
                          static_cast<double>(units);
     v.add("yield", json::Value::make_number(yield));
+    if (!spec.sweep->truth) return;
+    for (const char* k : {"bad", "escapes", "overkill", "wire_tp", "wire_fp",
+                          "wire_fn", "wire_tn"}) {
+      v.add(k, count_json(m.counter_value(prefix + "." + k)));
+    }
   };
 
   json::Value v = json::Value::make_object();

@@ -35,10 +35,12 @@ struct ScenarioOutcome {
   /// utilization), so it is not part of the determinism contract.
   std::string profile_text;
   /// Sweep campaigns only: the yield curve — per grid point, units run /
-  /// violations / failures / yield fraction — folded from the merged
-  /// metrics. Part of the determinism contract (a pure function of the
-  /// merged registry). Empty for non-sweep scenarios and for incomplete
-  /// (max_chunks-limited or cancelled) runs.
+  /// violations / failures / yield fraction, plus the truth counts (bad
+  /// dies, escapes, overkill, wire confusion) when the sweep sets
+  /// `truth` — folded from the merged metrics. Part of the determinism
+  /// contract (a pure function of the merged registry). Empty for
+  /// non-sweep scenarios and for incomplete (max_chunks-limited or
+  /// cancelled) runs.
   std::string yield_json;
 };
 

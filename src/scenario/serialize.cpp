@@ -155,6 +155,12 @@ json::Value sweep_json(const SweepSpec& s, const TopologySpec& topo) {
   if (!s.defects.empty()) {
     v.add("defects", defect_list_json(s.defects, topo));
   }
+  if (s.truth) {
+    json::Value t = json::Value::make_object();
+    t.add("max_glitch_frac", num(s.truth->max_glitch_frac));
+    t.add("max_settle_ps", num(s.truth->max_settle_ps));
+    v.add("truth", std::move(t));
+  }
   return v;
 }
 

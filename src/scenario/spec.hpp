@@ -183,6 +183,20 @@ struct VariationSpec {
   double sigma = 0.0;  ///< relative std-dev of the factor, >= 0
 };
 
+/// Shipping-spec limits that define a sampled die's ground truth. They
+/// are independent of the detector thresholds, so escapes (bad dies the
+/// test passes) and overkill (good dies it flags) are well defined. Each
+/// die is scored against them under worst-case MA stress; see
+/// `scenario::evaluate_truth`.
+struct TruthSpec {
+  /// Worst quiet-wire excursion from its rail, as a fraction of the
+  /// bus's high rail (Vdd under rc_full_swing). In (0, 1].
+  double max_glitch_frac = 0.45;
+  /// Latest allowed arrival of a switching wire at the receiver
+  /// threshold [ps], >= 1.
+  std::uint64_t max_settle_ps = 200;
+};
+
 /// Population-scale Monte-Carlo sweep: expands the scenario's single
 /// session template into `samples` sampled dies at every point of the
 /// detector-threshold grid (the cross product of the non-empty axes;
@@ -209,6 +223,10 @@ struct SweepSpec {
   /// placements — unlike scenario-level defects, which resolve once from
   /// the campaign seed and hit every die identically.
   std::vector<DefectSpec> defects;
+  /// Present = every die is also scored against these limits after its
+  /// session, and yield.json adds escapes, overkill and the wire-level
+  /// confusion counts. Absent = no scoring at all.
+  std::optional<TruthSpec> truth;
 };
 
 /// A complete declarative scenario: one topology, its fabricated

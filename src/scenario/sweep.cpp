@@ -1,10 +1,14 @@
 #include "scenario/sweep.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "mafm/fault.hpp"
 #include "scenario/build.hpp"
+#include "si/model.hpp"
 #include "sim/time.hpp"
 #include "util/prng.hpp"
 
@@ -56,7 +60,67 @@ void apply_variation(si::BusParams& p, const VariationSpec& var,
   }
 }
 
+/// Book one scored die under "sweep" and its grid point `prefix`.
+/// `flags` is the die's per-wire ND|SD readout; a die with any flag set
+/// is the violation the yield curve counts.
+void book_truth(obs::Registry& reg, const std::string& prefix,
+                const GroundTruth& truth, const util::BitVec& flags) {
+  const bool bad = truth.bad();
+  const bool flagged = flags.popcount() > 0;
+  std::uint64_t tp = 0, fp = 0, fn = 0, tn = 0;
+  for (std::size_t w = 0; w < flags.size(); ++w) {
+    const bool truth_w = truth.noisy[w] || truth.skewed[w];
+    tp += truth_w && flags[w];
+    fp += !truth_w && flags[w];
+    fn += truth_w && !flags[w];
+    tn += !truth_w && !flags[w];
+  }
+  const std::pair<const char*, std::uint64_t> books[] = {
+      {".bad", bad},          {".escapes", bad && !flagged},
+      {".overkill", flagged && !bad},
+      {".wire_tp", tp},       {".wire_fp", fp},
+      {".wire_fn", fn},       {".wire_tn", tn},
+  };
+  for (const auto& [name, count] : books) {
+    if (count == 0) continue;
+    reg.counter(std::string("sweep") + name).inc(count);
+    reg.counter(prefix + name).inc(count);
+  }
+}
+
 }  // namespace
+
+GroundTruth evaluate_truth(const si::CoupledBus& bus, const TruthSpec& spec) {
+  const std::size_t n = bus.n();
+  const si::InterconnectModel& model = si::model_for(bus.params().model);
+  const double high = model.high_rail(bus.params());
+  const double threshold = model.settled_threshold(bus.params());
+  const double max_glitch = spec.max_glitch_frac * high;
+  const sim::Time max_settle =
+      static_cast<sim::Time>(spec.max_settle_ps) * sim::kPs;
+
+  GroundTruth truth{util::BitVec(n, false), util::BitVec(n, false)};
+  for (std::size_t w = 0; w < n; ++w) {
+    // Worst quiet-wire stress: both glitch polarities on both rails.
+    for (const auto f : {mafm::MaFault::Pg, mafm::MaFault::PgBar,
+                         mafm::MaFault::Ng, mafm::MaFault::NgBar}) {
+      const mafm::VectorPair p = mafm::vectors_for(f, n, w);
+      const si::WaveformView wf = bus.peek(w, p.v1, p.v2);
+      const double rail = p.v1[w] ? high : 0.0;
+      const double excursion =
+          std::max(wf.max_value() - rail, rail - wf.min_value());
+      if (excursion >= max_glitch) truth.noisy.set(w, true);
+    }
+    // Worst switching stress: Miller-doubled rising and falling edges.
+    for (const auto f : {mafm::MaFault::Rs, mafm::MaFault::Fs}) {
+      const mafm::VectorPair p = mafm::vectors_for(f, n, w);
+      const std::optional<sim::Time> t =
+          bus.peek(w, p.v1, p.v2).last_crossing(threshold);
+      if (!t.has_value() || *t > max_settle) truth.skewed.set(w, true);
+    }
+  }
+  return truth;
+}
 
 SweepUnitSource::SweepUnitSource(const ScenarioSpec& spec) {
   if (!spec.sweep) {
@@ -169,7 +233,7 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
     u.name = os.str();
   }
   u.run = [cfg = std::move(cfg), defs = std::move(defs), session = session_,
-           method = method_, guard = guard_,
+           method = method_, guard = guard_, truth_spec = sweep_.truth,
            gid](core::CampaignContext& ctx) {
     // Population books first: a die that fails mid-session still counts
     // as a unit of its grid point (the failure books below and in the
@@ -179,6 +243,17 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
     reg.counter("sweep.units").inc();
     reg.counter(prefix + ".units").inc();
 
+    // With a truth spec the die scores its own bus once the session is
+    // done: the store already holds every MA window the scan reads.
+    core::SessionReview review;
+    if (truth_spec) {
+      review = [&reg, &prefix, &truth_spec](const si::CoupledBus& bus,
+                                            const util::BitVec& nd,
+                                            const util::BitVec& sd) {
+        book_truth(reg, prefix, evaluate_truth(bus, *truth_spec), nd | sd);
+      };
+    }
+
     core::UnitOutcome o;
     try {
       // The canned session on a bus from the campaign factory: the warm
@@ -186,9 +261,11 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
       // kind), so a process-varied die pays a fresh build and never
       // inherits the base die's memoized waveforms.
       o = core::run_soc_session(
-          ctx, cfg, session, method, guard, [&defs](si::CoupledBus& bus) {
+          ctx, cfg, session, method, guard,
+          [&defs](si::CoupledBus& bus) {
             for (const DefectSpec& d : defs) apply_defect(bus, d);
-          });
+          },
+          review);
     } catch (...) {
       reg.counter("sweep.failures").inc();
       reg.counter(prefix + ".failures").inc();

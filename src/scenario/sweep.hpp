@@ -9,16 +9,36 @@
 #include "core/campaign.hpp"
 #include "core/soc.hpp"
 #include "scenario/spec.hpp"
+#include "si/bus.hpp"
+#include "util/bitvec.hpp"
 
 namespace jsi::scenario {
+
+/// Physics-level ground truth of one die: the wires that break the
+/// shipping spec under worst-case MA stress, read off the bus model with
+/// no DFT involved. A quiet wire is noisy when any of Pg/PgBar/Ng/NgBar
+/// drives it at least `max_glitch_frac` of the high rail off its rail; a
+/// switching wire is skewed when Rs or Fs leaves it past the receiver
+/// threshold later than `max_settle_ps` (or never crossing it).
+struct GroundTruth {
+  util::BitVec noisy;
+  util::BitVec skewed;
+  bool bad() const { return noisy.popcount() + skewed.popcount() > 0; }
+};
+
+/// Score `bus` — defects and process variation as built — against
+/// `spec`. Every window it reads is in the generation's MA prefill, and
+/// it reads them through the unmetered CoupledBus::peek(): a die scored
+/// after its session books no cache lookup and emits no event.
+GroundTruth evaluate_truth(const si::CoupledBus& bus, const TruthSpec& spec);
 
 /// Lazy core::UnitSource over a sweep scenario: the campaign never holds
 /// more than the units currently running. Unit `i` is a pure function of
 /// (spec, i) — its grid point is `i / samples`, and all of its sampled
 /// randomness (process-variation factors, per-die defect placement)
 /// comes from `Prng(campaign.seed).split(i)`, so any unit is
-/// reconstructible in isolation: by any worker thread, in any forked
-/// worker process, or in a resumed run, without replaying units 0..i-1.
+/// reconstructible in isolation: by any worker thread or in a resumed
+/// run, without replaying units 0..i-1.
 ///
 /// Each unit also books die-population yield metrics into its hub
 /// registry (campaign-merged deterministically like every other metric):
@@ -26,6 +46,12 @@ namespace jsi::scenario {
 ///   sweep.units / sweep.violations / sweep.failures   whole population
 ///   sweep.grid.g<NNNN>.units / .violations / .failures  per grid point
 ///   sweep.unit_tcks                                    histogram
+///
+/// and, when the spec sets `sweep.truth`, the die's score against it
+/// (see evaluate_truth), under "sweep" and its grid prefix alike:
+///
+///   .bad / .escapes / .overkill                        dies
+///   .wire_tp / .wire_fp / .wire_fn / .wire_tn          wires
 ///
 /// which is what `render_yield_json` folds into the yield curve without
 /// any per-unit state surviving the campaign.

@@ -168,6 +168,22 @@ Waveform CoupledBus::wire_response(std::size_t i, const util::BitVec& prev,
   return w;
 }
 
+WaveformView CoupledBus::peek(std::size_t i, const util::BitVec& prev,
+                              const util::BitVec& next) const {
+  require_vector_widths(prev, next);
+  const std::size_t samples = model_.params().samples;
+  const sim::Time dt = model_.params().sample_dt;
+  if (cache_on_) {
+    sync_store();
+    const std::uint32_t s =
+        slot_of_[neighborhood_key(model_.n(), i, prev, next)];
+    if (s != kNoSlot) return WaveformView(slot_data(s), samples, dt);
+  }
+  scratch_.resize(model_.n() * samples);
+  TransitionKernel::solve_wire(model_, i, prev, next, scratch_.data());
+  return WaveformView(scratch_.data(), samples, dt);
+}
+
 std::vector<Waveform> CoupledBus::transition(const util::BitVec& prev,
                                              const util::BitVec& next) const {
   std::vector<Waveform> out;

@@ -124,6 +124,17 @@ class CoupledBus {
   TransitionBatch transition_batch(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
+  /// Unmetered read of wire `i`'s waveform for `prev -> next`, for
+  /// offline analysis after a session: the stored slot when the window is
+  /// resident (every MA window is, once the generation's prefill ran),
+  /// else solved into the scratch block. Counts no hit or miss and emits
+  /// no lookup event, so it leaves no trace in the session's metrics.
+  /// Valid until the next peek(), transition_batch(), defect mutation,
+  /// clone or destruction of this bus; a scratch solve also overwrites
+  /// the scratch wires of the latest transition_batch().
+  WaveformView peek(std::size_t i, const util::BitVec& prev,
+                    const util::BitVec& next) const;
+
   /// Would `cell` flag wire `i` of `b` — this bus's latest
   /// transition_batch() — for a wire driven `initial` -> `expected`?
   /// Exactly `cell.violates(b.wire(i), initial, expected)`; for a stored

@@ -2,9 +2,11 @@
 // lazy SweepUnitSource's per-index derivation (grid mapping, process
 // variation, per-die defects — all pure functions of the unit index),
 // the runner's aggregate-transcript threshold as a sweep sees it (report
-// and --profile agree on the folded totals), and the population-scale
+// and --profile agree on the folded totals), the population-scale
 // determinism contract: report/metrics/yield byte-identical across
-// shard counts and across checkpoint kill/resume boundaries.
+// shard counts and across checkpoint kill/resume boundaries, and the
+// optional `sweep.truth` scoring (evaluate_truth on a die's own bus, the
+// escape/overkill counters, and a scan that leaves no other trace).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/session.hpp"
 #include "core/soc.hpp"
 #include "scenario/build.hpp"
 #include "scenario/parse.hpp"
@@ -21,6 +24,8 @@
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
 #include "sim/time.hpp"
+#include "si/bus.hpp"
+#include "util/json.hpp"
 #include "util/prng.hpp"
 
 namespace jsi {
@@ -111,6 +116,57 @@ TEST(SweepParse, PinnedDiagnostics) {
            R"("sessions":[{"kind":"enhanced","method":1}],)"
            R"("sweep":{"samples":0})"),
       "sweep.samples: must be an integer >= 1");
+}
+
+/// small_sweep_doc's topology and session with `sweep` as given.
+std::string sweep_doc(const std::string& sweep) {
+  return wrap(R"("topology":{"kind":"soc","n_wires":4},)"
+              R"("sessions":[{"kind":"enhanced","method":1}],)"
+              R"("sweep":)" + sweep);
+}
+
+TEST(SweepParse, TruthDiagnostics) {
+  expect_spec_error(sweep_doc(R"({"truth":[]})"),
+                    "sweep.truth: expected an object");
+  expect_spec_error(sweep_doc(R"({"truth":{"max_settle_ps":200}})"),
+                    "sweep.truth.max_glitch_frac: required");
+  expect_spec_error(sweep_doc(R"({"truth":{"max_glitch_frac":0.45}})"),
+                    "sweep.truth.max_settle_ps: required");
+  expect_spec_error(
+      sweep_doc(R"({"truth":{"max_glitch_frac":"0.45","max_settle_ps":200}})"),
+      "sweep.truth.max_glitch_frac: expected a number");
+  for (const char* frac : {"0", "-0.2", "1.5"}) {
+    expect_spec_error(
+        sweep_doc(std::string(R"({"truth":{"max_glitch_frac":)") + frac +
+                  R"(,"max_settle_ps":200}})"),
+        "sweep.truth.max_glitch_frac: must be a number in (0, 1]");
+  }
+  for (const char* ps : {"0", "12.5", "\"200\""}) {
+    expect_spec_error(
+        sweep_doc(std::string(R"({"truth":{"max_glitch_frac":0.45,)") +
+                  R"("max_settle_ps":)" + ps + "}}"),
+        "sweep.truth.max_settle_ps: must be an integer >= 1");
+  }
+  expect_spec_error(
+      sweep_doc(R"({"truth":{"max_glitch_frac":0.45,"max_settle_ps":200,)"
+                R"("max_skew_ps":10}})"),
+      "sweep.truth.max_skew_ps: unknown key");
+}
+
+TEST(SweepParse, TruthReachesASerializeFixedPoint) {
+  const ScenarioSpec a = parse_scenario(
+      sweep_doc(R"({"truth":{"max_glitch_frac":1,"max_settle_ps":180}})"));
+  ASSERT_TRUE(a.sweep->truth.has_value());
+  EXPECT_DOUBLE_EQ(a.sweep->truth->max_glitch_frac, 1.0);
+  EXPECT_EQ(a.sweep->truth->max_settle_ps, 180u);
+  const std::string once = scenario::serialize(a);
+  EXPECT_NE(once.find("\"truth\""), std::string::npos);
+  const ScenarioSpec b = parse_scenario(once);
+  EXPECT_EQ(scenario::serialize(b), once);
+  // Absent stays absent: the serializer adds no empty truth object.
+  EXPECT_EQ(scenario::serialize(parse_scenario(small_sweep_doc()))
+                .find("truth"),
+            std::string::npos);
 }
 
 // ---- the lazy unit source ---------------------------------------------------
@@ -365,6 +421,216 @@ TEST(SweepYield, CurveCoversTheGrid) {
   EXPECT_NE(y.find("\"sd_budget_ps\": 250"), std::string::npos);
   EXPECT_NE(y.find("\"population\""), std::string::npos);
   EXPECT_NE(y.find("\"yield\""), std::string::npos);
+}
+
+// ---- ground truth -----------------------------------------------------------
+
+using scenario::evaluate_truth;
+using scenario::GroundTruth;
+using scenario::TruthSpec;
+
+/// A 6-wire die, 512 samples, run as `samples` dies of a `truth` sweep;
+/// `extra` is spliced into the sweep object (variations, defects).
+std::string truth_sweep_doc(std::size_t samples, const std::string& extra,
+                            std::uint64_t seed = 3) {
+  return wrap(
+      R"("topology":{"kind":"soc","n_wires":6,"bus":{"samples":512}},)"
+      R"("sessions":[{"kind":"enhanced","name":"die","method":1}],)"
+      R"("sweep":{"samples":)" + std::to_string(samples) + extra +
+      R"(,"truth":{"max_glitch_frac":0.45,"max_settle_ps":200}},)"
+      R"("campaign":{"seed":)" + std::to_string(seed) + "}");
+}
+
+std::uint64_t books(const scenario::ScenarioOutcome& out,
+                    const std::string& name) {
+  return out.result.metrics.counter_value("sweep." + name);
+}
+
+/// The die `src` derives for `index`, built cold: its bus with its
+/// defects applied and nothing run on it.
+si::CoupledBus cold_die(const SweepUnitSource& src, std::size_t index) {
+  si::CoupledBus bus(core::effective_bus_params(src.unit_config(index)));
+  for (const scenario::DefectSpec& d : src.unit_defects(index)) {
+    scenario::apply_defect(bus, d);
+  }
+  return bus;
+}
+
+TEST(SweepTruth, CleanDieTruthIsClean) {
+  si::BusParams bp;
+  bp.n_wires = 6;
+  const si::CoupledBus bus(bp);
+  const GroundTruth truth = evaluate_truth(bus, TruthSpec{});
+  EXPECT_EQ(truth.noisy.popcount(), 0u);
+  EXPECT_EQ(truth.skewed.popcount(), 0u);
+  EXPECT_FALSE(truth.bad());
+}
+
+TEST(SweepTruth, SevereDefectsViolateTruth) {
+  si::BusParams bp;
+  bp.n_wires = 6;
+  si::CoupledBus bus(bp);
+  bus.inject_crosstalk_defect(2, 8.0);
+  bus.add_series_resistance(4, 1000.0);
+  const GroundTruth truth = evaluate_truth(bus, TruthSpec{});
+  EXPECT_TRUE(truth.noisy[2]);
+  EXPECT_TRUE(truth.skewed[4]);
+  EXPECT_FALSE(truth.noisy[0]);
+  EXPECT_TRUE(truth.bad());
+  // With the store off every window is solved into scratch: same truth.
+  si::CoupledBus unstored = bus.clone();
+  unstored.set_cache_enabled(false);
+  const GroundTruth solved = evaluate_truth(unstored, TruthSpec{});
+  EXPECT_EQ(solved.noisy, truth.noisy);
+  EXPECT_EQ(solved.skewed, truth.skewed);
+}
+
+TEST(SweepTruth, ScoreAfterTheSessionMatchesAColdBusAndMetersNothing) {
+  core::SocConfig cfg;
+  cfg.n_wires = 6;
+  si::CoupledBus bus(core::effective_bus_params(cfg));
+  bus.inject_crosstalk_defect(1, 6.0);
+  bus.add_series_resistance(4, 700.0);
+  si::CoupledBus cold = bus.clone();
+  const GroundTruth expected = evaluate_truth(cold, TruthSpec{});
+
+  core::SiSocDevice soc(cfg, bus);
+  core::SiTestSession session(soc);
+  (void)session.run(core::ObservationMethod::PerPattern);
+  const std::uint64_t hits = bus.cache_hits();
+  const std::uint64_t misses = bus.cache_misses();
+  const GroundTruth after = evaluate_truth(bus, TruthSpec{});
+  EXPECT_EQ(after.noisy, expected.noisy);
+  EXPECT_EQ(after.skewed, expected.skewed);
+  EXPECT_TRUE(after.bad());
+  EXPECT_EQ(bus.cache_hits(), hits);
+  EXPECT_EQ(bus.cache_misses(), misses);
+}
+
+TEST(SweepTruth, CountersAreDeterministicInSeed) {
+  const std::string extra =
+      R"(,"variations":[{"param":"r_driver","sigma":0.1}],)"
+      R"("defects":[{"kind":"random_crosstalk","count":1,"severity":4}])";
+  const ScenarioSpec spec = parse_scenario(truth_sweep_doc(10, extra, 42));
+  const scenario::ScenarioOutcome a = scenario::run_scenario(spec);
+  const scenario::ScenarioOutcome b = scenario::run_scenario(spec);
+  for (const char* k : {"bad", "escapes", "overkill", "wire_tp", "wire_fp",
+                        "wire_fn", "wire_tn"}) {
+    EXPECT_EQ(books(a, k), books(b, k)) << k;
+  }
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(a.yield_json, b.yield_json);
+  // Every wire of every die lands in exactly one confusion cell.
+  EXPECT_EQ(books(a, "wire_tp") + books(a, "wire_fp") + books(a, "wire_fn") +
+                books(a, "wire_tn"),
+            10u * 6u);
+}
+
+TEST(SweepTruth, NoDefectsNoFlags) {
+  const scenario::ScenarioOutcome out =
+      scenario::run_scenario(parse_scenario(truth_sweep_doc(8, "")));
+  EXPECT_EQ(books(out, "units"), 8u);
+  EXPECT_EQ(books(out, "violations"), 0u);
+  EXPECT_EQ(books(out, "bad"), 0u);
+  EXPECT_EQ(books(out, "escapes"), 0u);
+  EXPECT_EQ(books(out, "overkill"), 0u);
+  EXPECT_EQ(books(out, "wire_fp"), 0u);
+  EXPECT_EQ(books(out, "wire_tn"), 8u * 6u);
+  EXPECT_NE(out.yield_json.find("\"escapes\": 0"), std::string::npos);
+}
+
+TEST(SweepTruth, SevereDefectGetsCaught) {
+  const ScenarioSpec spec = parse_scenario(truth_sweep_doc(
+      12, R"(,"defects":[{"kind":"random_crosstalk","count":1,"severity":8}])"));
+  const scenario::ScenarioOutcome out = scenario::run_scenario(spec);
+  EXPECT_GT(books(out, "bad"), 0u);
+  EXPECT_GT(books(out, "violations"), 0u);
+  // Severe defects are far past both the spec and the detector
+  // thresholds, so wire-level sensitivity is high.
+  const double tp = static_cast<double>(books(out, "wire_tp"));
+  const double fn = static_cast<double>(books(out, "wire_fn"));
+  ASSERT_GT(tp + fn, 0.0);
+  EXPECT_GT(tp / (tp + fn), 0.8);
+  // At severity 8 the glitch half of the spec fires too.
+  const SweepUnitSource src(spec);
+  std::size_t noisy_dies = 0;
+  for (std::size_t i = 0; i < src.count(); ++i) {
+    noisy_dies += evaluate_truth(cold_die(src, i), *spec.sweep->truth)
+                      .noisy.popcount() > 0;
+  }
+  EXPECT_GT(noisy_dies, 0u);
+}
+
+TEST(SweepTruth, ShippedStudyScreensAtTheTightBudget) {
+  const ScenarioSpec spec = scenario::load_scenario(
+      std::string(JSI_SCENARIO_DIR) + "/yield_truth_sweep.scenario.json");
+  ASSERT_TRUE(spec.sweep && spec.sweep->truth);
+  const scenario::ScenarioOutcome out = scenario::run_scenario(spec);
+  const SweepUnitSource src(spec);
+  std::uint64_t loose_escapes = 0;
+  for (std::size_t g = 0; g < src.grid_points(); ++g) {
+    const std::uint64_t escapes = out.result.metrics.counter_value(
+        SweepUnitSource::grid_prefix(g) + ".escapes");
+    if (*src.grid_point(g).sd_budget_ps == 150) {
+      EXPECT_EQ(escapes, 0u) << "grid point " << g;
+    } else {
+      loose_escapes += escapes;
+    }
+  }
+  EXPECT_GT(loose_escapes, 0u);
+  // At the shipped severity of 1.5 every bad die breaks the settle
+  // limit, never the glitch limit.
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < src.count(); ++i) {
+    const GroundTruth t = evaluate_truth(cold_die(src, i), *spec.sweep->truth);
+    if (!t.bad()) continue;
+    ++bad;
+    EXPECT_EQ(t.noisy.popcount(), 0u) << "die " << i;
+  }
+  EXPECT_EQ(bad, books(out, "bad"));
+}
+
+/// `metrics_json` with the truth counters dropped from its counters.
+std::string without_truth_counters(const std::string& metrics_json) {
+  namespace json = util::json;
+  std::optional<json::Value> v = json::parse(metrics_json);
+  EXPECT_TRUE(v.has_value());
+  if (!v) return {};
+  for (auto& [section, body] : v->object) {
+    if (section != "counters") continue;
+    std::erase_if(body.object, [](const auto& member) {
+      for (const char* k : {".bad", ".escapes", ".overkill", ".wire_tp",
+                            ".wire_fp", ".wire_fn", ".wire_tn"}) {
+        if (member.first.ends_with(k)) return true;
+      }
+      return false;
+    });
+  }
+  return json::to_text(*v);
+}
+
+TEST(SweepTruth, ScanLeavesNoTrace) {
+  // Events kept and cache lookups traced, so a scan that looked anything
+  // up through the metered path would show in events.jsonl.
+  const std::string extra =
+      R"(,"variations":[{"param":"c_couple","sigma":0.1}],)"
+      R"("defects":[{"kind":"random_crosstalk","count":1,"severity":3}])";
+  ScenarioSpec with = parse_scenario(truth_sweep_doc(6, extra));
+  with.campaign.keep_events = true;
+  with.obs.cache_lookups = true;
+  ScenarioSpec without = with;
+  without.sweep->truth.reset();
+
+  const scenario::ScenarioOutcome a = scenario::run_scenario(with);
+  const scenario::ScenarioOutcome b = scenario::run_scenario(without);
+  ASSERT_FALSE(b.events_jsonl.empty());
+  ASSERT_NE(b.events_jsonl.find("si.cache"), std::string::npos);
+  EXPECT_EQ(a.report_text, b.report_text);
+  EXPECT_EQ(a.events_jsonl, b.events_jsonl);
+  EXPECT_NE(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(without_truth_counters(a.metrics_json),
+            without_truth_counters(b.metrics_json));
+  EXPECT_EQ(b.yield_json.find("escapes"), std::string::npos);
 }
 
 }  // namespace
